@@ -9,7 +9,7 @@ algebra beats sparse bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,6 +69,19 @@ class WeightedDigraph:
         """Underlying simple graph: symmetric, unweighted, no self-loops."""
         a = self.adjacency()
         return a | a.T
+
+    def cached(self, key: str, compute: Callable[["WeightedDigraph"], np.ndarray]) -> np.ndarray:
+        """``compute(self)``, evaluated on first use and kept read-only on this graph.
+
+        The graph is immutable, so a derived all-pairs matrix (hop distances,
+        pairwise max flows) is computed once and shared by every reader.
+        """
+        memo = self.__dict__.setdefault("_cache", {})
+        if key not in memo:
+            value = compute(self)
+            value.setflags(write=False)
+            memo[key] = value
+        return memo[key]
 
     def index(self, node: int | str) -> int:
         if isinstance(node, str):
@@ -241,7 +254,15 @@ def edge_density(g: WeightedDigraph) -> float:
 
 
 def hop_distance_matrix(g: WeightedDigraph) -> np.ndarray:
-    """All-pairs unweighted hop distances via per-source BFS; -1 marks unreachable."""
+    """All-pairs unweighted hop distances via per-source BFS; -1 marks unreachable.
+
+    Computed once per graph and returned read-only: ``aspl``, ``diameter``
+    and ``summarize`` all read the same matrix.
+    """
+    return g.cached("hops", _hop_distances)
+
+
+def _hop_distances(g: WeightedDigraph) -> np.ndarray:
     n = g.n
     adj = g.adjacency()
     dist = np.full((n, n), -1, dtype=np.int64)

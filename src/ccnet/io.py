@@ -1,13 +1,15 @@
 """Edge-list ingestion, the end-to-end analysis pipeline and report persistence.
 
 Input format: UTF-8 CSV with header ``source,target,weight``, one directed
-edge per line.  Threshold factors come from a ``year,factor`` CSV.  Reports
-serialize to JSON deterministically (a fixed key order and plain float reprs),
-so identical seeds give byte-identical files.
+edge per line; fields may be quoted (``"Korea, Rep."``).  Threshold factors
+come from a ``year,factor`` CSV.  Reports serialize to JSON deterministically
+(a fixed key order and plain float reprs), so identical seeds give
+byte-identical files.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,18 +41,27 @@ class EdgeListError(ValueError):
     """Malformed edge-list or factor file; messages carry the line number."""
 
 
+def _csv_rows(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each non-blank row after ``header``.
+
+    Fields may be quoted, so a label such as ``"Korea, Rep."`` is one field.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, skipinitialspace=True)
+        try:
+            rows = [(reader.line_num, [c.strip() for c in row]) for row in reader]
+        except csv.Error as exc:
+            raise EdgeListError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows or rows[0][1] != header:
+        raise EdgeListError(f"{path}: line 1: expected header {','.join(header)!r}")
+    return [(lineno, fields) for lineno, fields in rows[1:] if fields not in ([], [""])]
+
+
 def parse_edge_list(path: str) -> list[tuple[str, str, float]]:
     """Read labelled edges from a ``source,target,weight`` CSV."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["source", "target", "weight"]:
-        raise EdgeListError(f"{path}: line 1: expected header 'source,target,weight'")
     edges: list[tuple[str, str, float]] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [c.strip() for c in line.split(",")]
+    for lineno, parts in _csv_rows(path, ["source", "target", "weight"]):
         if len(parts) != 3:
             raise EdgeListError(f"{path}: line {lineno}: expected 3 columns, got {len(parts)}")
         src, dst, raw_w = parts
@@ -73,15 +84,8 @@ def parse_edge_list(path: str) -> list[tuple[str, str, float]]:
 
 def load_factors(path: str) -> dict[int, float]:
     """Read per-year threshold multipliers from a ``year,factor`` CSV."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["year", "factor"]:
-        raise EdgeListError(f"{path}: line 1: expected header 'year,factor'")
     factors: dict[int, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [c.strip() for c in line.split(",")]
+    for lineno, parts in _csv_rows(path, ["year", "factor"]):
         if len(parts) != 2:
             raise EdgeListError(f"{path}: line {lineno}: expected 2 columns")
         try:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .graph import GraphError, GraphSummary, WeightedDigraph
 from .graph import (
+    _connected,
     algebraic_connectivity,
     assortativity,
     clustering,
@@ -114,10 +115,23 @@ def max_flow(g: WeightedDigraph, s: int | str, t: int | str) -> float:
 
 
 def _edmonds_karp(cap: np.ndarray, s: int, t: int) -> float:
+    """Max s->t flow; ``cap`` (a fresh weight copy) is used up as residual capacity.
+
+    Warm start: the direct edge s->t and the two-hop paths s->v->t share no
+    edges, so all of them are saturated at once.  Shortest augmenting paths
+    (BFS) then run until none is left or the flow reaches the cut bound
+    min(s_out(s), s_in(t)).
+    """
     n = cap.shape[0]
-    total = 0.0
+    bound = min(cap[s].sum(), cap[:, t].sum())
+    via = np.minimum(cap[s], cap[:, t])  # zero at s and t: the diagonal is zero
+    total = cap[s, t] + via.sum()
+    # residual edges into s and out of t lie on no s->t path: not recorded
+    cap[s] -= via
+    cap[:, t] -= via
+    cap[s, t] = 0.0
     parent = np.empty(n, dtype=np.int64)
-    while True:
+    while total < bound:
         parent.fill(-1)
         parent[s] = s
         frontier = np.zeros(n, dtype=bool)
@@ -133,7 +147,7 @@ def _edmonds_karp(cap: np.ndarray, s: int, t: int) -> float:
             parent[new_idx] = f_idx[first]
             frontier = new
         if parent[t] < 0:
-            return total
+            break
         v = t
         bottleneck = np.inf
         while v != s:
@@ -147,24 +161,33 @@ def _edmonds_karp(cap: np.ndarray, s: int, t: int) -> float:
             cap[v, u] += bottleneck
             v = u
         total += bottleneck
+    return float(total)
 
 
-def maxflow_measure(g: WeightedDigraph, direction: str) -> MeasureVector:
-    """Mean pairwise max flow into (``in``) or out of (``out``) each node.
-
-    f_in(i) averages max_flow(j, i) over the other nodes j, mirroring the
-    per-other-node convention of farness.  The N(N-1) pair flows are mutually
-    independent computations.
-    """
-    _check_direction(direction)
-    if g.n < 2:
-        raise GraphError("max-flow measure needs at least 2 nodes")
+def _pair_flows(g: WeightedDigraph) -> np.ndarray:
+    """N x N matrix of max_flow(i, j), zero on the diagonal."""
     n = g.n
     flows = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
                 flows[i, j] = _edmonds_karp(g.weights.copy(), i, j)
+    return flows
+
+
+def maxflow_measure(g: WeightedDigraph, direction: str) -> MeasureVector:
+    """Mean pairwise max flow into (``in``) or out of (``out``) each node.
+
+    f_in(i) averages max_flow(j, i) over the other nodes j, mirroring the
+    per-other-node convention of farness.  The N(N-1) pair flows are
+    computed once per graph into a read-only matrix, which both directions
+    and ``summarize`` share.
+    """
+    _check_direction(direction)
+    if g.n < 2:
+        raise GraphError("max-flow measure needs at least 2 nodes")
+    n = g.n
+    flows = g.cached("maxflow", _pair_flows)
     if np.any(flows[~np.eye(n, dtype=bool)] <= 0.0):
         raise GraphError("graph is not strongly connected (zero pairwise flow)")
     if direction == "in":
@@ -181,27 +204,14 @@ def eigenvector_centrality(g: WeightedDigraph) -> MeasureVector:
     """
     if g.n < 2:
         raise GraphError("eigenvector centrality needs at least 2 nodes")
-    a = g.simple_adjacency().astype(float)
-    if not _sym_connected(a):
+    a = g.simple_adjacency()
+    if not _connected(a):
         raise GraphError("underlying simple graph is not connected")
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(a.astype(float))
     vec = vecs[:, -1]
     if vec.sum() < 0.0:
         vec = -vec
     return MeasureVector("EC", vec, bigger_is_better=True)
-
-
-def _sym_connected(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    adj = a > 0.0
-    while frontier.any():
-        nxt = adj[frontier].any(axis=0) & ~reached
-        reached |= nxt
-        frontier = nxt
-    return bool(reached.all())
 
 
 def standard_measure_set(g: WeightedDigraph) -> list[MeasureVector]:

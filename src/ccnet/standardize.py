@@ -170,7 +170,10 @@ def standardize(measure: MeasureVector, loglik_center: str = "transformed") -> S
     uni-modality of the raw values is a caller obligation, not enforced.
     """
     x = np.asarray(measure.values, dtype=float)
-    _check_sample(x)
+    try:
+        _check_sample(x)
+    except DegenerateSampleError as exc:
+        raise DegenerateSampleError(f"measure {measure.name!r}: {exc}") from None
 
     pre_shift = 0.0
     lo = x.min()

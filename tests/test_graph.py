@@ -209,6 +209,14 @@ class TestDiameterAndDistances:
             mean = dist[~np.eye(g.n, dtype=bool)].mean()
             assert diameter(g) >= int(np.ceil(mean))
 
+    def test_hop_matrix_shared_and_read_only(self):
+        g = random_strongly_connected(10, 0)
+        dist = hop_distance_matrix(g)
+        assert hop_distance_matrix(g) is dist
+        assert not dist.flags.writeable
+        with pytest.raises(ValueError):
+            dist[0, 1] = 0
+
 
 class TestClustering:
     def test_triangle(self):

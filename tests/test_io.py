@@ -67,6 +67,19 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListError, match="3 columns"):
             parse_edge_list(str(p))
 
+    def test_quoted_labels(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text('source,target,weight\n"Korea, Rep.","Hong Kong SAR, China",2.5\n'
+                     '"Hong Kong SAR, China", "Korea, Rep.",1\n', encoding="utf-8")
+        assert parse_edge_list(str(p)) == [("Korea, Rep.", "Hong Kong SAR, China", 2.5),
+                                           ("Hong Kong SAR, China", "Korea, Rep.", 1.0)]
+
+    def test_quoted_labels_keep_line_numbers(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text('source,target,weight\n"a, b",c,1\n\n"c","a, b",1,2\n')
+        with pytest.raises(EdgeListError, match="line 4: expected 3 columns, got 4"):
+            parse_edge_list(str(p))
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("source,target,weight\na,b,1\n\nb,c,2\n")
@@ -121,6 +134,27 @@ class TestAnalyze:
         a = analyze(path, e_th, seed=5, replicates=2500)
         b = analyze(path, e_th, seed=5, replicates=2500)
         assert report_to_json(a) == report_to_json(b)
+
+    def test_each_all_pairs_matrix_computed_once(self, edges_csv, monkeypatch):
+        import ccnet.graph
+        import ccnet.measures
+
+        counts = {"flow": 0, "hops": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ccnet.measures, "_edmonds_karp",
+                            counted("flow", ccnet.measures._edmonds_karp))
+        monkeypatch.setattr(ccnet.graph, "_hop_distances",
+                            counted("hops", ccnet.graph._hop_distances))
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        n = len(analyze(path, e_th, seed=0, replicates=2500).labels)
+        assert counts == {"flow": n * (n - 1), "hops": 1}
 
     def test_round_trip_byte_identical(self, edges_csv):
         path, g = edges_csv

@@ -115,6 +115,29 @@ class TestMaxFlow:
                     if s != t:
                         assert max_flow(g, s, t) == min_cut_oracle(g.weights, s, t)
 
+    def test_float_weights_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for n, seed in ((20, 1), (30, 2)):
+            g = make_tradelike(n, seed)
+            ref = nx.DiGraph()
+            ref.add_nodes_from(range(n))
+            for i, j in zip(*np.nonzero(g.weights)):
+                ref.add_edge(int(i), int(j), capacity=float(g.weights[i, j]))
+            for s in range(n):
+                for t in range(n):
+                    if s != t:
+                        assert max_flow(g, s, t) == pytest.approx(
+                            nx.maximum_flow_value(ref, s, t), rel=1e-12, abs=0.0)
+
+    def test_integer_flow_matrix_matches_cut_oracle(self):
+        for seed in range(4):
+            n = 9 + seed
+            g = random_strongly_connected(n, seed, p=0.3)
+            oracle = np.array([[min_cut_oracle(g.weights, s, t) if s != t else 0.0
+                                for t in range(n)] for s in range(n)])
+            assert np.array_equal(maxflow_measure(g, "in").values, oracle.sum(axis=0) / (n - 1))
+            assert np.array_equal(maxflow_measure(g, "out").values, oracle.sum(axis=1) / (n - 1))
+
     def test_bounded_by_endpoint_strengths(self):
         for seed in range(5):
             g = random_strongly_connected(10, seed)

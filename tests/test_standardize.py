@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from ccnet import (
     MeasureVector,
     StandardizedMeasure,
     TransformParams,
+    WeightedDigraph,
     box_cox,
     box_cox_inverse,
     box_cox_loglik,
     fit_lambda,
     invert,
     skewness,
+    standard_measure_set,
     standardize,
 )
 
@@ -211,6 +215,15 @@ class TestStandardize:
             standardize(MeasureVector("m", np.full(10, 2.0)))
         with pytest.raises(DegenerateSampleError):
             standardize(MeasureVector("m", np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize("weights", [np.ones((6, 6)) - np.eye(6), np.roll(np.eye(3), 1, axis=1)],
+                             ids=["complete-K6", "directed-3-cycle"])
+    def test_constant_graph_measures_name_the_measure(self, weights):
+        g = WeightedDigraph(tuple("abcdef"[:len(weights)]), weights)
+        for m in standard_measure_set(g):
+            with pytest.raises(DegenerateSampleError,
+                               match=re.escape(f"measure {m.name!r}: sample is constant")):
+                standardize(m)
 
 
 class TestInvert:

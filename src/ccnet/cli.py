@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -142,20 +144,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         values = _read_values(args.values)
         sm = standardize(MeasureVector(args.name, values,
                                        bigger_is_better=not args.smaller_is_better))
-        import json
-
-        doc = {
-            "name": sm.name,
-            "values": sm.values.tolist(),
-            "params": {
-                "pre_shift": sm.params.pre_shift,
-                "mean_scale": sm.params.mean_scale,
-                "box_cox_lambda": sm.params.box_cox_lambda,
-                "post_mean": sm.params.post_mean,
-                "post_std": sm.params.post_std,
-                "flipped": sm.params.flipped,
-            },
-        }
+        doc = {"name": sm.name, "values": sm.values.tolist(), "params": asdict(sm.params)}
         _write(json.dumps(doc, indent=2) + "\n", args.out)
         return 0
 

@@ -13,7 +13,9 @@ to the parent's height per graph node.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,13 +130,7 @@ class GenerationScores:
 def combine(a: StandardizedMeasure, b: StandardizedMeasure,
             name: str | None = None) -> StandardizedMeasure:
     """Combine two standardized measures: (a + b) / sigma_s(a + b)."""
-    if a.values.shape != b.values.shape:
-        raise ValueError("measures must have equal length")
-    s = a.values + b.values
-    sd = float(s.std(ddof=1))
-    if sd == 0.0:
-        raise DegenerateCombinationError(f"combining {a.name!r} and {b.name!r} is degenerate")
-    return StandardizedMeasure(name or f"{a.name}+{b.name}", s / sd)
+    return combine_set([a, b], name or f"{a.name}+{b.name}")
 
 
 def combine_set(measures: Sequence[StandardizedMeasure],
@@ -142,14 +138,22 @@ def combine_set(measures: Sequence[StandardizedMeasure],
     """Flat composite of a measure set: sum / sigma_s(sum), no intermediate steps."""
     if len(measures) < 2:
         raise ValueError("need at least 2 measures to combine")
-    lengths = {m.values.shape for m in measures}
-    if len(lengths) != 1:
+    values, _ = _combine(name, [m.values for m in measures])
+    return StandardizedMeasure(name, values)
+
+
+def _combine(name: str, parts: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
+    """(sum / sigma_s(sum), sigma_s(sum)) of equal-length parts; ``name`` labels errors.
+
+    The sum runs left to right, so a pair combines as exactly ``a + b``.
+    """
+    if len({p.shape for p in parts}) != 1:
         raise ValueError("measures must have equal length")
-    s = np.sum([m.values for m in measures], axis=0)
+    s = functools.reduce(operator.add, parts)
     sd = float(s.std(ddof=1))
     if sd == 0.0:
-        raise DegenerateCombinationError("measure set sums to a constant")
-    return StandardizedMeasure(name, s / sd)
+        raise DegenerateCombinationError(f"combination at {name!r} is degenerate")
+    return s / sd, sd
 
 
 def run_scheme(scheme: InheritanceScheme,
@@ -178,12 +182,7 @@ def run_scheme(scheme: InheritanceScheme,
             generation[node.name] = 1
             return values[node.name]
         left, right = node.children
-        s = up(left) + up(right)
-        sd = float(s.std(ddof=1))
-        if sd == 0.0:
-            raise DegenerateCombinationError(f"combination at {node.name!r} is degenerate")
-        sigmas[node.name] = sd
-        values[node.name] = s / sd
+        values[node.name], sigmas[node.name] = _combine(node.name, [up(left), up(right)])
         generation[node.name] = 1 + max(generation[left.name], generation[right.name])
         return values[node.name]
 

@@ -137,16 +137,7 @@ def build_graph(labeled_edges: Iterable[tuple[str, str, float]]) -> WeightedDigr
     edges: list[tuple[str, str, float]] = []
     seen: set[tuple[str, str]] = set()
     for src, dst, w in labeled_edges:
-        if not src or not dst:
-            raise GraphError("edge labels must be non-empty")
-        if src == dst:
-            raise GraphError(f"self-loop edge on {src!r}")
-        w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
-            raise GraphError(f"non-positive weight {w!r} on edge {src!r}->{dst!r}")
-        if (src, dst) in seen:
-            raise GraphError(f"duplicate edge {src!r}->{dst!r}")
-        seen.add((src, dst))
+        w = _check_edge(src, dst, w, seen)
         for lbl in (src, dst):
             if lbl not in order:
                 order[lbl] = len(order)
@@ -156,6 +147,26 @@ def build_graph(labeled_edges: Iterable[tuple[str, str, float]]) -> WeightedDigr
     for src, dst, w in edges:
         weights[order[src], order[dst]] = w
     return WeightedDigraph(tuple(order), weights)
+
+
+def _check_edge(src: str, dst: str, w: float | str, seen: set[tuple[str, str]]) -> float:
+    """The edge's weight as a float, once the edge is known valid; adds it to ``seen``.
+
+    The one per-edge contract, shared by ``build_graph`` and the edge-list
+    parser: non-empty labels, no self-loop, a finite positive weight and no
+    repeated (source, target) pair.
+    """
+    if not src or not dst:
+        raise GraphError("edge labels must be non-empty")
+    if src == dst:
+        raise GraphError(f"self-loop edge on {src!r}")
+    w = float(w)
+    if not np.isfinite(w) or w <= 0.0:
+        raise GraphError(f"non-positive weight {w!r} on edge {src!r}->{dst!r}")
+    if (src, dst) in seen:
+        raise GraphError(f"duplicate edge {src!r}->{dst!r}")
+    seen.add((src, dst))
+    return w
 
 
 def threshold_graph(g: WeightedDigraph, e_th: float) -> WeightedDigraph:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .composite import (
     run_scheme,
 )
 from .gof import GoFReport, anderson_darling, ks_p_value
-from .graph import GraphSummary, build_graph, largest_scc, threshold_graph
+from .graph import GraphError, GraphSummary, _check_edge, build_graph, largest_scc, threshold_graph
 from .measures import MeasureVector, eigenvector_centrality, standard_measure_set, summarize
 from .standardize import standardize
 
@@ -65,20 +65,12 @@ def parse_edge_list(path: str) -> list[tuple[str, str, float]]:
         if len(parts) != 3:
             raise EdgeListError(f"{path}: line {lineno}: expected 3 columns, got {len(parts)}")
         src, dst, raw_w = parts
-        if not src or not dst:
-            raise EdgeListError(f"{path}: line {lineno}: empty node label")
-        if src == dst:
-            raise EdgeListError(f"{path}: line {lineno}: self-loop on {src!r}")
         try:
-            w = float(raw_w)
-        except ValueError:
+            edges.append((src, dst, _check_edge(src, dst, raw_w, seen)))
+        except GraphError as exc:
+            raise EdgeListError(f"{path}: line {lineno}: {exc}") from None
+        except ValueError:  # float() of the weight field; GraphError is caught above
             raise EdgeListError(f"{path}: line {lineno}: non-numeric weight {raw_w!r}") from None
-        if not np.isfinite(w) or w <= 0.0:
-            raise EdgeListError(f"{path}: line {lineno}: non-positive weight {raw_w!r}")
-        if (src, dst) in seen:
-            raise EdgeListError(f"{path}: line {lineno}: duplicate edge {src!r}->{dst!r}")
-        seen.add((src, dst))
-        edges.append((src, dst, w))
     return edges
 
 
@@ -247,21 +239,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "replicates": report.replicates,
             "version": report.version,
         },
-        "summary": {
-            "n": report.summary.n,
-            "n_edges": report.summary.n_edges,
-            "diameter": report.summary.diameter,
-            "mean_aspl": report.summary.mean_aspl,
-            "mean_maxflow": report.summary.mean_maxflow,
-            "mean_degree": report.summary.mean_degree,
-            "mean_strength": report.summary.mean_strength,
-            "asymmetry": report.summary.asymmetry,
-            "edge_density": report.summary.edge_density,
-            "mean_clustering": report.summary.mean_clustering,
-            "algebraic_connectivity": report.summary.algebraic_connectivity,
-            "assortativity": report.summary.assortativity,
-            "coverage": report.summary.coverage,
-        },
+        "summary": asdict(report.summary),
         "nodes": list(report.labels),
         "raw_measures": [
             {"name": m.name, "bigger_is_better": m.bigger_is_better,

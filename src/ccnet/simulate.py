@@ -31,9 +31,8 @@ _Z95 = 1.96
 class ArbMeasureSpec:
     """Parameters of the five-distribution synthetic measure set.
 
-    ``exponential_mu`` is read as the distribution mean by default; set
-    ``exponential_mu_is_mean=False`` for the rate reading.  The log-normal
-    parameters are those of the underlying normal.
+    ``exponential_mu`` is the distribution mean.  The log-normal parameters
+    are those of the underlying normal.
     """
 
     uniform_low: float = 0.0
@@ -43,7 +42,6 @@ class ArbMeasureSpec:
     lognormal_mu: float = 2.0
     lognormal_sigma: float = 2.0
     exponential_mu: float = 1e-3
-    exponential_mu_is_mean: bool = True
     pareto_xmin: float = 100.0
     pareto_alpha: float = 3.0
 
@@ -106,12 +104,11 @@ def sample_arb(spec: ArbMeasureSpec, n: int,
         raise ValueError("need at least 10 samples per measure")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(child) for child in root.spawn(5)]
-    exp_scale = spec.exponential_mu if spec.exponential_mu_is_mean else 1.0 / spec.exponential_mu
     values = [
         rngs[0].uniform(spec.uniform_low, spec.uniform_high, n),
         rngs[1].normal(spec.normal_mean, spec.normal_sigma, n),
         rngs[2].lognormal(spec.lognormal_mu, spec.lognormal_sigma, n),
-        rngs[3].exponential(exp_scale, n),
+        rngs[3].exponential(spec.exponential_mu, n),
         (rngs[4].pareto(spec.pareto_alpha, n) + 1.0) * spec.pareto_xmin,
     ]
     names = ("uniform", "normal", "log-normal", "exponential", "pareto")
@@ -130,10 +127,9 @@ def sample_standard_normal_set(n: int,
             for k, rng in enumerate(rngs)]
 
 
-def composite_scores(measures: Sequence[MeasureVector],
-                     loglik_center: str = "transformed") -> np.ndarray:
+def composite_scores(measures: Sequence[MeasureVector]) -> np.ndarray:
     """Standardise each measure and combine the set flat."""
-    return combine_set([standardize(m, loglik_center) for m in measures]).values
+    return combine_set([standardize(m) for m in measures]).values
 
 
 def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
@@ -143,8 +139,7 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
                    seed: int = 0,
                    spec: ArbMeasureSpec | None = None,
                    sampler: Callable[[int, np.random.SeedSequence],
-                                     list[MeasureVector]] | None = None,
-                   loglik_center: str = "transformed") -> StudyResult:
+                                     list[MeasureVector]] | None = None) -> StudyResult:
     """Run the composite-score goodness-of-fit study over sample sizes.
 
     Per size: ``stat_realizations`` independent composite samples feed the
@@ -170,9 +165,7 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
         p_values = np.empty(p_realizations)
         for r in range(max(stat_realizations, p_realizations)):
             scores = composite_scores(
-                sampler(n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0))),
-                loglik_center,
-            )
+                sampler(n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0))))
             if r < stat_realizations:
                 comp_stats[r] = ks_statistic(scores)
                 null_draw = np.random.default_rng(

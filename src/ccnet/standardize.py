@@ -96,31 +96,23 @@ def box_cox_inverse(y, lam: float | None):
     return float(out) if out.ndim == 0 else out
 
 
-def box_cox_loglik(xs, lam: float, loglik_center: str = "transformed") -> float:
-    """Profile log-likelihood of the Box-Cox exponent.
+def box_cox_loglik(xs, lam: float) -> float:
+    """Profile log-likelihood of the Box-Cox exponent (Box & Cox 1964).
 
-    (lam - 1) * sum(ln x_i) - (n/2) * ln( sum((x~_i - c)^2) / n ), where x~ are
-    the transformed values.  The centre c defaults to the mean of the
-    transformed values; ``loglik_center="raw"`` selects the raw-sample mean
-    instead (kept available for comparison, dimensionally inconsistent in the
-    log branch).  Overflowing exponents yield -inf.
+    (lam - 1) * sum(ln x_i) - (n/2) * ln( sum((x~_i - mean(x~))^2) / n ), where
+    x~ = box_cox(x, lam).  Overflowing exponents yield -inf.
     """
     xs = np.asarray(xs, dtype=float)
     _check_sample(xs)
-    if np.any(xs <= 0.0):
-        raise ValueError("log-likelihood input must be strictly positive")
-    if loglik_center not in ("transformed", "raw"):
-        raise ValueError(f"unknown loglik_center {loglik_center!r}")
     n = xs.size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = np.expm1(lam * np.log(xs)) / lam if lam != 0.0 else np.log(xs)
-        center = xs.mean() if loglik_center == "raw" else t.mean()
-        var = np.sum((t - center) ** 2) / n
+        t = box_cox(xs, lam)
+        var = np.sum((t - t.mean()) ** 2) / n
         ll = (lam - 1.0) * np.sum(np.log(xs)) - 0.5 * n * np.log(var)
     return float(ll) if np.isfinite(ll) else -np.inf
 
 
-def fit_lambda(xs, loglik_center: str = "transformed") -> float:
+def fit_lambda(xs) -> float:
     """Maximum-likelihood Box-Cox exponent over [-5, 5], to 1e-4 absolute.
 
     A 0.1-step grid scan locates the peak (ties resolved towards the smallest
@@ -130,23 +122,23 @@ def fit_lambda(xs, loglik_center: str = "transformed") -> float:
     xs = np.asarray(xs, dtype=float)
     _check_sample(xs)
     grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _GRID_STEP / 2, _GRID_STEP)
-    vals = [box_cox_loglik(xs, float(lam), loglik_center) for lam in grid]
+    vals = [box_cox_loglik(xs, float(lam)) for lam in grid]
     k = int(np.argmax(vals))  # argmax takes the first (smallest) maximiser
     a = max(LAMBDA_MIN, float(grid[k]) - _GRID_STEP)
     b = min(LAMBDA_MAX, float(grid[k]) + _GRID_STEP)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = box_cox_loglik(xs, c, loglik_center)
-    fd = box_cox_loglik(xs, d, loglik_center)
+    fc = box_cox_loglik(xs, c)
+    fd = box_cox_loglik(xs, d)
     while b - a > LAMBDA_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = box_cox_loglik(xs, c, loglik_center)
+            fc = box_cox_loglik(xs, c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = box_cox_loglik(xs, d, loglik_center)
+            fd = box_cox_loglik(xs, d)
     return float((a + b) / 2.0)
 
 
@@ -162,7 +154,7 @@ def skewness(xs) -> float:
     return float(g1 * np.sqrt(n * (n - 1.0)) / (n - 2.0))
 
 
-def standardize(measure: MeasureVector, loglik_center: str = "transformed") -> StandardizedMeasure:
+def standardize(measure: MeasureVector) -> StandardizedMeasure:
     """Run the full standardisation recipe on one raw measure.
 
     Output has sample mean 0 and standard deviation 1; smaller-is-better
@@ -184,7 +176,7 @@ def standardize(measure: MeasureVector, loglik_center: str = "transformed") -> S
     mean_scale = float(x.mean())
     y = x / mean_scale
 
-    lam = fit_lambda(y, loglik_center)
+    lam = fit_lambda(y)
     transformed = box_cox(y, lam)
     used_lambda: float | None = None
     z = y

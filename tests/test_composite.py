@@ -42,6 +42,9 @@ class TestCombine:
         neg = StandardizedMeasure("b", -a.values)
         with pytest.raises(DegenerateCombinationError):
             combine(a, neg)
+        scheme = InheritanceScheme(SchemeNode("top", (SchemeNode("a"), SchemeNode("b"))))
+        with pytest.raises(DegenerateCombinationError, match="combination at 'top'"):
+            run_scheme(scheme, [a, neg])
 
     def test_output_contract_and_correlation(self):
         a = std_normal_sm("a", 500, 1)
@@ -61,7 +64,7 @@ class TestCombineSet:
     def test_two_measures_match_pairwise_combine(self):
         a = std_normal_sm("a", 300, 3)
         b = std_normal_sm("b", 300, 4)
-        assert np.allclose(combine_set([a, b]).values, combine(a, b).values, atol=1e-12)
+        assert np.array_equal(combine_set([a, b]).values, combine(a, b).values)
 
     def test_identical_inputs_fixed_point(self):
         a = std_normal_sm("a", 200, 5)
@@ -96,7 +99,7 @@ class TestRunScheme:
         b = std_normal_sm("right", 150, 7)
         scheme = InheritanceScheme(SchemeNode("top", (SchemeNode("left"), SchemeNode("right"))))
         gens = run_scheme(scheme, [a, b])
-        assert np.allclose(gens.root().values, combine(a, b).values, atol=1e-12)
+        assert np.array_equal(gens.root().values, combine(a, b).values)
         assert gens.root().generation == 2
 
     def test_sibling_heights_sum_to_parent(self):

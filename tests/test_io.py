@@ -37,10 +37,17 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListError, match="line 1"):
             parse_edge_list(str(p))
 
-    def test_self_loop_line_number(self, tmp_path):
+    @pytest.mark.parametrize("row, reason", [
+        ("a,a,1.0", "self-loop"),
+        ("b,c,0", "non-positive weight"),
+        ("b,c,inf", "weight inf"),
+        (",c,1", "non-empty"),
+        ("a,b,2", "duplicate"),
+    ], ids=["self-loop", "zero-weight", "inf-weight", "empty-label", "duplicate"])
+    def test_self_loop_line_number(self, tmp_path, row, reason):
         p = tmp_path / "e.csv"
-        p.write_text("source,target,weight\na,a,1.0\n")
-        with pytest.raises(EdgeListError, match="line 2"):
+        p.write_text(f"source,target,weight\na,b,1\n\n{row}\n")
+        with pytest.raises(EdgeListError, match=f"line 4: .*{reason}"):
             parse_edge_list(str(p))
 
     def test_zero_weight(self, tmp_path):

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ccnet import (
     DegenerateSampleError,
@@ -84,14 +85,15 @@ class TestLogLikelihood:
             - 0.5 * xs2.size * np.log(np.sum((t2 - t2.mean()) ** 2) / xs2.size)
         assert box_cox_loglik(xs2, lam) == pytest.approx(expected2, rel=1e-12)
 
-    def test_raw_center_switch(self):
-        xs = np.array([0.5, 1.0, 1.5, 2.0, 1.0])
-        lam = 0.7
-        t = (xs**lam - 1.0) / lam
-        literal = (lam - 1.0) * np.sum(np.log(xs)) \
-            - 0.5 * xs.size * np.log(np.sum((t - xs.mean()) ** 2) / xs.size)
-        assert box_cox_loglik(xs, lam, loglik_center="raw") == pytest.approx(literal, rel=1e-12)
-        assert box_cox_loglik(xs, lam, loglik_center="raw") != box_cox_loglik(xs, lam)
+    def test_matches_scipy_boxcox_llf(self):
+        # mean-one samples, the scale standardize fits the exponent on
+        rng = np.random.default_rng(5)
+        for xs in _raw_families(rng, 400):
+            xs = xs / xs.mean()
+            for lam in np.linspace(-5.0, 5.0, 41):
+                ll = box_cox_loglik(xs, float(lam))
+                if np.isfinite(ll):
+                    assert ll == pytest.approx(scipy.stats.boxcox_llf(float(lam), xs), rel=1e-10)
 
     def test_optimizer_beats_coarse_grid(self):
         rng = np.random.default_rng(7)
@@ -142,6 +144,11 @@ class TestSkewness:
         m3 = np.sum((xs - m) ** 3) / n
         expected = (m3 / m2**1.5) * np.sqrt(n * (n - 1)) / (n - 2)
         assert skewness(xs) == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_scipy_skew(self):
+        rng = np.random.default_rng(6)
+        for xs in _raw_families(rng, 400):
+            assert skewness(xs) == pytest.approx(scipy.stats.skew(xs, bias=False), rel=1e-10)
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateSampleError):

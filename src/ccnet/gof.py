@@ -1,7 +1,10 @@
 """Goodness-of-fit tests against the standard normal (both parameters fixed).
 
-The KS p-value is Monte-Carlo: the observed statistic is ranked against the
-statistics of synthetic standard-normal samples of the same size.  With B
+The KS p-value is Monte-Carlo: the observed statistic is ranked against a
+sorted table of KS statistics of synthetic samples of the same size.  Under a
+fully specified continuous null, Phi(X) is uniform, so the table is drawn
+from sorted uniform rows directly (no normal draws, no CDF); it depends only
+on the sample size n, so one table serves every test at that n.  With B
 replicates the p-value is quantized to multiples of 1/B and its half-width
 precision is 1/(2 sqrt(B)); the default B = 10^4 gives 0.005.
 
@@ -21,6 +24,7 @@ DEFAULT_REPLICATES = 10_000
 MIN_REPLICATES = 2_500
 # Anderson-Darling case-0 (fully specified null) critical value, 10% level
 AD_CRITICAL_10PCT = 1.933
+AD_MIN_SAMPLE = 8
 # replicate chunk: ~4M draws per block, split-seeded for scheduling independence
 _CHUNK_DRAWS = 1 << 22
 
@@ -53,53 +57,74 @@ def ks_statistic(sample) -> float:
         raise ValueError("KS statistic needs a 1-D sample of at least 5 values")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
-    return float(_ks_rows(np.sort(x)[None, :])[0])
+    return float(_ks_rows(ndtr(np.sort(x))[None, :])[0])
 
 
-def _ks_rows(sorted_rows: np.ndarray) -> np.ndarray:
-    """KS statistics for pre-sorted sample rows."""
-    n = sorted_rows.shape[1]
-    z = ndtr(sorted_rows)
+def _ks_rows(cdf_rows: np.ndarray) -> np.ndarray:
+    """KS statistics of rows of sorted CDF values (uniform under the null)."""
+    n = cdf_rows.shape[1]
     i = np.arange(1, n + 1)
-    upper = np.abs(i / n - z)
-    lower = np.abs(z - (i - 1) / n)
+    upper = np.abs(i / n - cdf_rows)
+    lower = np.abs(cdf_rows - (i - 1) / n)
     return np.max(np.maximum(upper, lower), axis=1)
+
+
+def _ks_null(n: int, replicates: int,
+             seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Sorted KS statistics of ``replicates`` null samples of size ``n``, read-only.
+
+    Replicate chunks of about 4M draws use split seeds, so the table does not
+    depend on how the chunks are scheduled.
+    """
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
+    rows_per_chunk = max(1, _CHUNK_DRAWS // n)
+    n_chunks = math.ceil(replicates / rows_per_chunk)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    null = np.empty(replicates)
+    done = 0
+    for child in root.spawn(n_chunks):
+        rows = min(rows_per_chunk, replicates - done)
+        draws = np.random.default_rng(child).random((rows, n))
+        draws.sort(axis=1)
+        null[done:done + rows] = _ks_rows(draws)
+        done += rows
+    null.sort()
+    null.flags.writeable = False
+    return null
+
+
+def _ks_rank(observed: float, null: np.ndarray, seed: int | None) -> GoFReport:
+    """Rank an observed KS statistic against a ``_ks_null`` table of its size.
+
+    p is the fraction of null statistics >= the observed one (the >= makes
+    the estimate conservative).
+    """
+    p = (null.size - int(np.searchsorted(null, observed, "left"))) / null.size
+    return GoFReport(
+        test_name="ks-monte-carlo",
+        statistic=observed,
+        p_value=p,
+        replicates=null.size,
+        seed=seed,
+        decision="accept" if p > P_THRESHOLD else "reject",
+    )
 
 
 def ks_p_value(sample, replicates: int = DEFAULT_REPLICATES,
                seed: int | np.random.SeedSequence = 0) -> GoFReport:
     """Monte-Carlo KS test of the standard-normal hypothesis.
 
-    Draws ``replicates`` synthetic standard-normal samples of the observed
-    size; p is the fraction whose KS statistic is >= the observed one (the
-    >= makes the estimate conservative).  Deterministic for a given seed:
-    replicate chunks use split seeds, so the result is independent of how the
-    chunks are scheduled.
+    Draws a table of ``replicates`` null KS statistics at the observed size
+    (from sorted uniform rows, which is what Phi makes of standard-normal
+    samples) and ranks the observed statistic against it.  Deterministic for
+    a given seed.  Callers that test many samples of one size (``analyze``,
+    ``gof_vs_n_study``) draw the table once and rank every sample against it.
     """
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
     observed = ks_statistic(sample)
-    n = len(sample)
-    rows_per_chunk = max(1, _CHUNK_DRAWS // n)
-    n_chunks = math.ceil(replicates / rows_per_chunk)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    exceed = 0
-    done = 0
-    for child in root.spawn(n_chunks):
-        rows = min(rows_per_chunk, replicates - done)
-        draws = np.random.default_rng(child).standard_normal((rows, n))
-        draws.sort(axis=1)
-        exceed += int(np.count_nonzero(_ks_rows(draws) >= observed))
-        done += rows
-    p = exceed / replicates
-    return GoFReport(
-        test_name="ks-monte-carlo",
-        statistic=observed,
-        p_value=p,
-        replicates=replicates,
-        seed=None if isinstance(seed, np.random.SeedSequence) else int(seed),
-        decision="accept" if p > P_THRESHOLD else "reject",
-    )
+    null = _ks_null(len(sample), replicates, seed)
+    return _ks_rank(observed, null,
+                    None if isinstance(seed, np.random.SeedSequence) else int(seed))
 
 
 def anderson_darling(sample) -> GoFReport:
@@ -109,8 +134,9 @@ def anderson_darling(sample) -> GoFReport:
     1.933; the hypothesis is accepted iff A^2 stays below it.
     """
     x = np.asarray(sample, dtype=float)
-    if x.ndim != 1 or x.size < 8:
-        raise ValueError("Anderson-Darling needs a 1-D sample of at least 8 values")
+    if x.ndim != 1 or x.size < AD_MIN_SAMPLE:
+        raise ValueError(
+            f"Anderson-Darling needs a 1-D sample of at least {AD_MIN_SAMPLE} values")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
     x = np.sort(x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .composite import (
     load_scheme,
     run_scheme,
 )
-from .gof import GoFReport, anderson_darling, ks_p_value
+from .gof import AD_MIN_SAMPLE, GoFReport, _ks_null, _ks_rank, anderson_darling, ks_statistic
 from .graph import GraphError, GraphSummary, _check_edge, build_graph, largest_scc, threshold_graph
 from .measures import MeasureVector, eigenvector_centrality, standard_measure_set, summarize
 from .standardize import standardize
@@ -154,6 +154,9 @@ def analyze(edges_path: str,
     edges = parse_edge_list(edges_path)
     full = build_graph(edges)
     lsctg = largest_scc(threshold_graph(full, e_th))
+    if lsctg.n < AD_MIN_SAMPLE:
+        raise GraphError(f"largest strongly connected component has {lsctg.n} nodes; "
+                         f"the goodness-of-fit tests need at least {AD_MIN_SAMPLE}")
     summary = summarize(lsctg, full=full)
 
     if g1_override is not None:
@@ -164,14 +167,13 @@ def analyze(edges_path: str,
     else:
         raw = standard_measure_set(lsctg)
 
+    # one KS null table for every test below: all samples have lsctg.n values
+    null = _ks_null(lsctg.n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+
     replaced: str | None = None
     if measure_set == "alt":
-        candidates = [standardize(m) for m in raw]
-        p_values = []
-        for k, sm in enumerate(candidates):
-            rep = ks_p_value(sm.values, replicates,
-                             np.random.SeedSequence(entropy=seed, spawn_key=(1, k)))
-            p_values.append(rep.p_value)
+        p_values = [_ks_rank(ks_statistic(standardize(m).values), null, seed).p_value
+                    for m in raw]
         worst = int(np.argmin(p_values))
         replaced = raw[worst].name
         raw[worst] = eigenvector_centrality(lsctg)
@@ -180,15 +182,10 @@ def analyze(edges_path: str,
     g1 = [standardize(m) for m in raw]
     generations = run_scheme(scheme_obj, g1)
 
-    gof: list[GoFReport] = []
-    ordered = _report_order(generations)
-    for k, node in enumerate(ordered):
-        gof.append(_named(ks_p_value(
-            node.values, replicates,
-            np.random.SeedSequence(entropy=seed, spawn_key=(2, k)),
-        ), node.name, seed))
-    gof.append(_named(anderson_darling(generations.root().values),
-                      generations.root().name, None))
+    gof = [_named(_ks_rank(ks_statistic(node.values), null, seed), node.name)
+           for node in _report_order(generations)]
+    root = generations.root()
+    gof.append(_named(anderson_darling(root.values), root.name))
 
     return AnalysisReport(
         source=edges_path,
@@ -216,15 +213,8 @@ def _report_order(generations: GenerationScores) -> list[GenerationScore]:
     return ordered
 
 
-def _named(report: GoFReport, measure: str, seed: int | None) -> GoFReport:
-    return GoFReport(
-        test_name=f"{report.test_name}:{measure}",
-        statistic=report.statistic,
-        p_value=report.p_value,
-        replicates=report.replicates,
-        seed=seed,
-        decision=report.decision,
-    )
+def _named(report: GoFReport, measure: str) -> GoFReport:
+    return replace(report, test_name=f"{report.test_name}:{measure}")
 
 
 def report_to_dict(report: AnalysisReport) -> dict:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .composite import combine_set
-from .gof import DEFAULT_REPLICATES, ks_p_value, ks_statistic
+from .gof import DEFAULT_REPLICATES, _ks_null, _ks_rank, ks_statistic
 from .measures import MeasureVector
 from .standardize import standardize
 
@@ -147,10 +147,14 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
     standardised in sample, feed the ``null_ks`` curve.  That curve is
     therefore not the composite's noise floor; run with
     ``sampler=sample_standard_normal_set`` for that.  The Monte-Carlo
-    p-value, which dominates the cost, is evaluated on the first
-    ``p_realizations`` composites.  Everything is
-    seeded through spawn keys of (size, realization), so results are
-    bit-identical for a given seed and independent of evaluation order.
+    p-value is evaluated on the first ``p_realizations`` composites, each
+    ranked against one KS null table per size (the fully specified null
+    depends only on n).  The p-band therefore carries no Monte-Carlo noise
+    between realisations: every p at a size reads the same table, whose own
+    error has standard deviation at most 1/(2 sqrt(replicates)).  Samples
+    are seeded through spawn keys of (size, realization, stream) and each
+    size's null table through the key (size,), so results are bit-identical
+    for a given seed and independent of evaluation order.
     """
     if spec is None:
         spec = ArbMeasureSpec()
@@ -160,24 +164,22 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
 
     rows = []
     for n in sizes:
+        null = _ks_null(n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
         comp_stats = np.empty(stat_realizations)
         null_stats = np.empty(stat_realizations)
         p_values = np.empty(p_realizations)
         for r in range(max(stat_realizations, p_realizations)):
             scores = composite_scores(
                 sampler(n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0))))
+            observed = ks_statistic(scores)
             if r < stat_realizations:
-                comp_stats[r] = ks_statistic(scores)
+                comp_stats[r] = observed
                 null_draw = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 2))
                 ).standard_normal(n)
                 null_stats[r] = ks_statistic(null_draw)
             if r < p_realizations:
-                report = ks_p_value(
-                    scores, replicates,
-                    np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 1)),
-                )
-                p_values[r] = report.p_value
+                p_values[r] = _ks_rank(observed, null, seed).p_value
         rows.append(SizeResult(
             size=n,
             **_band("p", p_values),

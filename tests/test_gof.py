@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtr
 
 from ccnet import AD_CRITICAL_10PCT, anderson_darling, ks_p_value, ks_statistic
+from ccnet.gof import _ks_null
 
 
 class TestKsStatistic:
@@ -102,6 +106,57 @@ class TestKsPValue:
         x = np.random.default_rng(0).standard_normal(50)
         with pytest.raises(ValueError):
             ks_p_value(x, 2000, seed=0)
+
+    @pytest.mark.parametrize("n", [5, 20, 100, 1000])
+    def test_matches_exact_kolmogorov_distribution(self, n):
+        # scipy.stats.kstwo is the exact null distribution of the statistic
+        # (Simard & L'Ecuyer 2011); the Monte-Carlo p must sit within 6
+        # binomial sds plus one quantum of it, from p near 1 down to small p
+        b = 10_000
+        base = np.random.default_rng(n).standard_normal(n)
+        for shift in (0.0, 2.0 / math.sqrt(n), 4.0 / math.sqrt(n)):
+            rep = ks_p_value(base + shift, b, seed=n + 1)
+            q = float(stats.kstwo.sf(rep.statistic, n))
+            sd = math.sqrt(max(q * (1.0 - q), 1.0 / b) / b)
+            assert abs(rep.p_value - q) <= 6.0 * sd + 1.0 / b, (shift, rep.p_value, q)
+        assert rep.p_value < 0.05  # the largest shift reaches the small-p tail
+
+    def test_is_one_table_ranked(self):
+        # build-then-rank: p counts the table's statistics >= the observed one
+        x = np.random.default_rng(8).standard_normal(60)
+        null = _ks_null(60, 2500, 5)
+        rep = ks_p_value(x, 2500, seed=5)
+        assert rep.p_value == np.count_nonzero(null >= rep.statistic) / 2500
+        assert rep.replicates == 2500 and rep.seed == 5
+
+
+class TestKsNull:
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_table_follows_kstwo(self, n):
+        # Dvoretzky-Kiefer-Wolfowitz bound at level 1e-6 on the table's
+        # empirical CDF against the exact distribution, read at 199 quantiles
+        b = 10_000
+        null = _ks_null(n, b, seed=3)
+        probs = np.linspace(0.005, 0.995, 199)
+        ecdf = np.searchsorted(null, stats.kstwo.ppf(probs, n), "right") / b
+        assert np.max(np.abs(ecdf - probs)) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * b))
+
+    def test_sorted_read_only_and_seeded(self):
+        null = _ks_null(30, 2500, seed=9)
+        assert null.shape == (2500,)
+        assert np.all(np.diff(null) >= 0.0)
+        assert not null.flags.writeable
+        assert np.array_equal(null, _ks_null(30, 2500, np.random.SeedSequence(9)))
+        assert not np.array_equal(null, _ks_null(30, 2500, seed=10))
+
+    def test_partial_last_chunk_is_filled(self):
+        # at n = 5000 a chunk holds 838 rows, so 2500 replicates take two full
+        # chunks and a partial one; every entry must be a KS statistic, and
+        # any sample of size n has D >= 1/(2n)
+        n = 5000
+        null = _ks_null(n, 2500, seed=0)
+        assert null.size == 2500
+        assert 1.0 / (2 * n) <= null[0] and null[-1] <= 1.0
 
 
 class TestAndersonDarling:

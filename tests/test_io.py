@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import ccnet.io
 from ccnet import (
     EdgeListError,
+    GraphError,
     MeasureVector,
     adjust_threshold,
     analyze,
@@ -12,17 +14,21 @@ from ccnet import (
     report_from_json,
     report_to_json,
 )
+from ccnet.gof import _ks_null
 from helpers import make_tradelike
+
+
+def _write_edges(path, g):
+    lines = ["source,target,weight"]
+    lines += [f"{s},{t},{w!r}" for s, t, w in g.edge_list()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture(scope="module")
 def edges_csv(tmp_path_factory):
     g = make_tradelike(20, 3)
-    path = tmp_path_factory.mktemp("data") / "edges.csv"
-    lines = ["source,target,weight"]
-    lines += [f"{s},{t},{w!r}" for s, t, w in g.edge_list()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path), g
+    return _write_edges(tmp_path_factory.mktemp("data") / "edges.csv", g), g
 
 
 class TestParseEdgeList:
@@ -163,6 +169,48 @@ class TestAnalyze:
         n = len(analyze(path, e_th, seed=0, replicates=2500).labels)
         assert counts == {"flow": n * (n - 1), "hops": 1}
 
+    @pytest.mark.parametrize("scheme, measure_set", [("drt", "sf"), ("rtd", "alt")])
+    def test_one_null_table_ranks_every_ks_test(self, edges_csv, monkeypatch,
+                                                 scheme, measure_set):
+        tables = []
+
+        def counted(n, replicates, seed):
+            tables.append((n, replicates))
+            return _ks_null(n, replicates, seed)
+
+        monkeypatch.setattr(ccnet.io, "_ks_null", counted)
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        report = analyze(path, e_th, scheme=scheme, measure_set=measure_set,
+                         seed=4, replicates=2500)
+        n = len(report.labels)
+        assert tables == [(n, 2500)]
+        # each p counts the statistics >= the node's own, in the table
+        # rebuilt from the analysis seed
+        null = _ks_null(n, 2500, np.random.SeedSequence(entropy=4, spawn_key=(0,)))
+        nodes = {node.name: node.values for node in report.generations.nodes}
+        ks = [r for r in report.gof if r.test_name.startswith("ks-monte-carlo:")]
+        assert len(ks) == len(nodes)
+        for r in ks:
+            observed = ccnet.ks_statistic(nodes[r.test_name.split(":", 1)[1]])
+            assert r.statistic == observed
+            assert r.p_value == np.count_nonzero(null >= observed) / 2500
+            assert (r.replicates, r.seed) == (2500, 4)
+
+    def test_alt_ranks_candidates_against_the_table(self, edges_csv):
+        # the replaced measure is the one whose standardised values rank
+        # lowest against the analysis table
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        report = analyze(path, e_th, measure_set="alt", seed=6, replicates=2500)
+        n = len(report.labels)
+        null = _ks_null(n, 2500, np.random.SeedSequence(entropy=6, spawn_key=(0,)))
+        raw = ccnet.standard_measure_set(ccnet.largest_scc(ccnet.threshold_graph(
+            ccnet.build_graph(parse_edge_list(path)), e_th)))
+        p = [np.count_nonzero(null >= ccnet.ks_statistic(ccnet.standardize(m).values))
+             for m in raw]
+        assert report.replaced_measure == raw[int(np.argmin(p))].name
+
     def test_round_trip_byte_identical(self, edges_csv):
         path, g = edges_csv
         e_th = float(min(w for _, _, w in g.edge_list()))
@@ -190,10 +238,23 @@ class TestAnalyze:
     def test_lsctg_too_small_rejected(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("source,target,weight\na,b,1\nb,c,1\n")
-        from ccnet import GraphError
-
         with pytest.raises(GraphError):
             analyze(str(p), 0.5, replicates=2500)
+
+    def test_substrate_below_test_minimum_fails_first(self, tmp_path, monkeypatch):
+        # a 6-node LSCC cannot take the 8-value Anderson-Darling test; the
+        # error comes before any measure or Monte-Carlo work and names the size
+        def never(*args, **kwargs):
+            raise AssertionError("work done on a substrate too small to test")
+
+        monkeypatch.setattr(ccnet.io, "summarize", never)
+        monkeypatch.setattr(ccnet.io, "standard_measure_set", never)
+        monkeypatch.setattr(ccnet.io, "_ks_null", never)
+        g = make_tradelike(6, 0)
+        path = _write_edges(tmp_path / "e.csv", g)
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        with pytest.raises(GraphError, match="has 6 nodes; .* at least 8"):
+            analyze(path, e_th, replicates=2500)
 
     def test_unknown_measure_set_rejected(self, edges_csv):
         path, _ = edges_csv

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import ccnet.simulate
 from ccnet import (
     ArbMeasureSpec,
     composite_scores,
     gof_vs_n_study,
+    ks_statistic,
     max_error_estimate,
     sample_arb,
     sample_standard_normal_set,
@@ -12,6 +14,7 @@ from ccnet import (
     study_to_csv,
     study_to_json,
 )
+from ccnet.gof import _ks_null
 
 
 class TestSampleArb:
@@ -75,6 +78,29 @@ class TestStudy:
         b = gof_vs_n_study(**kwargs)
         assert study_to_json(a) == study_to_json(b)
         assert study_to_csv(a) == study_to_csv(b)
+
+    def test_one_null_table_per_size(self, monkeypatch):
+        tables = []
+
+        def counted(n, replicates, seed):
+            tables.append(n)
+            return _ks_null(n, replicates, seed)
+
+        monkeypatch.setattr(ccnet.simulate, "_ks_null", counted)
+        study = gof_vs_n_study(sizes=(50, 100), p_realizations=3, stat_realizations=4,
+                               replicates=2500, seed=12)
+        assert tables == [50, 100]
+        # each size's p-values rank the composites against the table rebuilt
+        # from the key (size,)
+        for row in study.rows:
+            n = row.size
+            null = _ks_null(n, 2500, np.random.SeedSequence(entropy=12, spawn_key=(n,)))
+            ps = []
+            for r in range(3):
+                scores = composite_scores(sample_arb(
+                    ArbMeasureSpec(), n, np.random.SeedSequence(entropy=12, spawn_key=(n, r, 0))))
+                ps.append(np.count_nonzero(null >= ks_statistic(scores)) / 2500)
+            assert row.p_mean == float(np.mean(ps))
 
     def test_control_study_flat_in_n(self):
         # composites carry exact sample moments (mean 0, std 1), so their KS

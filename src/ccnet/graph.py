@@ -181,53 +181,21 @@ def threshold_graph(g: WeightedDigraph, e_th: float) -> WeightedDigraph:
 
 
 def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
-    """All strongly connected components as lists of node indices (Tarjan, iterative)."""
-    n = g.n
-    adj = [np.flatnonzero(row).tolist() for row in g.adjacency()]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    """All strongly connected components as sorted lists of node indices.
 
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        index[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack[start] = True
-        call: list[tuple[int, Iterable[int]]] = [(start, iter(adj[start]))]
-        while call:
-            v, it = call[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    call.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            call.pop()
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                components.append(sorted(comp))
+    Nodes i and j share a component iff each reaches the other, read off the
+    graph's hop-distance matrix.  Components are ordered by their smallest
+    node index; a node on no cycle is a component of its own.
+    """
+    reach = hop_distance_matrix(g) >= 0
+    mutual = reach & reach.T
+    seen = np.zeros(g.n, dtype=bool)
+    components: list[list[int]] = []
+    for i in range(g.n):
+        if not seen[i]:
+            comp = np.flatnonzero(mutual[i])
+            seen[comp] = True
+            components.append(comp.tolist())
     return components
 
 
@@ -236,17 +204,20 @@ def largest_scc(g: WeightedDigraph) -> WeightedDigraph:
 
     Size ties are broken towards the component containing the smallest node
     index.  A largest component with fewer than 2 nodes is an error: no path
-    measure is definable on it.
+    measure is definable on it.  The component inherits its hop-distance
+    matrix from ``g``: a shortest path between two nodes of one strongly
+    connected component never leaves it.
     """
     if g.n < 1:
         raise GraphError("empty graph has no components")
     components = strongly_connected_components(g)
-    best_size = max(len(c) for c in components)
-    if best_size < 2:
+    chosen = max(components, key=len)
+    if len(chosen) < 2:
         raise GraphError("largest strongly connected component has < 2 nodes")
-    candidates = [c for c in components if len(c) == best_size]
-    chosen = min(candidates, key=lambda c: c[0])
-    return g.subgraph(chosen)
+    sub = g.subgraph(chosen)
+    dist = hop_distance_matrix(g)
+    sub.cached("hops", lambda _: dist[np.ix_(chosen, chosen)])
+    return sub
 
 
 def graph_asymmetry(g: WeightedDigraph) -> float:
@@ -274,21 +245,21 @@ def hop_distance_matrix(g: WeightedDigraph) -> np.ndarray:
 
 
 def _hop_distances(g: WeightedDigraph) -> np.ndarray:
-    n = g.n
     adj = g.adjacency()
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        d = dist[s]
-        d[s] = 0
-        frontier = np.zeros(n, dtype=bool)
-        frontier[s] = True
-        level = 0
-        while frontier.any():
-            level += 1
-            nxt = adj[frontier].any(axis=0) & (d < 0)
-            d[nxt] = level
-            frontier = nxt
-    return dist
+    return np.array([_bfs(adj, s) for s in range(g.n)], dtype=np.int64).reshape(g.n, g.n)
+
+
+def _bfs(adj: np.ndarray, s: int) -> np.ndarray:
+    """Hop distances from node ``s`` over the boolean adjacency ``adj``; -1 marks unreachable."""
+    d = np.full(adj.shape[0], -1, dtype=np.int64)
+    d[s] = 0
+    frontier = d == 0
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = adj[frontier].any(axis=0) & (d < 0)
+        d[frontier] = level
+    return d
 
 
 def diameter(g: WeightedDigraph) -> int:
@@ -376,14 +347,4 @@ def coverage(full: WeightedDigraph, reduced: WeightedDigraph) -> float:
 
 
 def _connected(sym_adj: np.ndarray) -> bool:
-    n = sym_adj.shape[0]
-    if n == 0:
-        return False
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        nxt = sym_adj[frontier].any(axis=0) & ~reached
-        reached |= nxt
-        frontier = nxt
-    return bool(reached.all())
+    return sym_adj.shape[0] > 0 and bool(np.all(_bfs(sym_adj, 0) >= 0))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +87,8 @@ def load_factors(path: str) -> dict[int, float]:
             raise EdgeListError(f"{path}: line {lineno}: bad year/factor pair") from None
         if factor <= 0.0:
             raise EdgeListError(f"{path}: line {lineno}: factor must be positive")
+        if year in factors:
+            raise EdgeListError(f"{path}: line {lineno}: duplicate year {year}")
         factors[year] = factor
     return factors
 
@@ -170,16 +172,16 @@ def analyze(edges_path: str,
     # one KS null table for every test below: all samples have lsctg.n values
     null = _ks_null(lsctg.n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
+    g1 = [standardize(m) for m in raw]
     replaced: str | None = None
     if measure_set == "alt":
-        p_values = [_ks_rank(ks_statistic(standardize(m).values), null, seed).p_value
-                    for m in raw]
+        p_values = [_ks_rank(ks_statistic(m.values), null, seed).p_value for m in g1]
         worst = int(np.argmin(p_values))
         replaced = raw[worst].name
         raw[worst] = eigenvector_centrality(lsctg)
+        g1[worst] = standardize(raw[worst])
         scheme_obj = scheme_obj.rename_leaf(replaced, "EC")
 
-    g1 = [standardize(m) for m in raw]
     generations = run_scheme(scheme_obj, g1)
 
     gof = [_named(_ks_rank(ks_statistic(node.values), null, seed), node.name)
@@ -217,18 +219,17 @@ def _named(report: GoFReport, measure: str) -> GoFReport:
     return replace(report, test_name=f"{report.test_name}:{measure}")
 
 
+# (JSON key, AnalysisReport field) of the "meta" block, in output order
+_META = (("source", "source"), ("year", "year"), ("threshold", "threshold"),
+         ("measure_set", "measure_set"), ("scheme", "scheme_id"), ("seed", "seed"),
+         ("replicates", "replicates"), ("version", "version"))
+# keys of a "gof" entry, in GoFReport field order ("test" holds test_name)
+_GOF_KEYS = ("test", "statistic", "p_value", "replicates", "seed", "decision")
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
     return {
-        "meta": {
-            "source": report.source,
-            "year": report.year,
-            "threshold": report.threshold,
-            "measure_set": report.measure_set,
-            "scheme": report.scheme_id,
-            "seed": report.seed,
-            "replicates": report.replicates,
-            "version": report.version,
-        },
+        "meta": {key: getattr(report, field) for key, field in _META},
         "summary": asdict(report.summary),
         "nodes": list(report.labels),
         "raw_measures": [
@@ -243,11 +244,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
              "display_heights": g.display_heights.tolist()}
             for g in _report_order(report.generations)
         ],
-        "gof": [
-            {"test": r.test_name, "statistic": r.statistic, "p_value": r.p_value,
-             "replicates": r.replicates, "seed": r.seed, "decision": r.decision}
-            for r in report.gof
-        ],
+        "gof": [dict(zip(_GOF_KEYS, astuple(r))) for r in report.gof],
     }
 
 
@@ -258,7 +255,7 @@ def report_to_json(report: AnalysisReport) -> str:
 def report_from_json(text: str) -> AnalysisReport:
     """Rebuild a report from its JSON form (round-trips byte-identically)."""
     doc = json.loads(text)
-    meta = doc["meta"]
+    meta = {field: doc["meta"][key] for key, field in _META}
     summary = GraphSummary(**doc["summary"])
     raw = tuple(MeasureVector(m["name"], np.asarray(m["values"]), m["bigger_is_better"])
                 for m in doc["raw_measures"])
@@ -267,21 +264,10 @@ def report_from_json(text: str) -> AnalysisReport:
                         np.asarray(g["values"]), np.asarray(g["display_heights"]))
         for g in doc["generations"]
     )
-    generations = GenerationScores(meta["scheme"], nodes)
-    gof = tuple(
-        GoFReport(r["test"], r["statistic"], r["p_value"],
-                  r["replicates"], r["seed"], r["decision"])
-        for r in doc["gof"]
-    )
+    generations = GenerationScores(meta["scheme_id"], nodes)
+    gof = tuple(GoFReport(*(r[key] for key in _GOF_KEYS)) for r in doc["gof"])
     return AnalysisReport(
-        source=meta["source"],
-        year=meta["year"],
-        threshold=meta["threshold"],
-        measure_set=meta["measure_set"],
-        scheme_id=meta["scheme"],
-        seed=meta["seed"],
-        replicates=meta["replicates"],
-        version=meta["version"],
+        **meta,
         labels=tuple(doc["nodes"]),
         summary=summary,
         raw_measures=raw,

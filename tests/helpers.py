@@ -113,8 +113,8 @@ def reachability_closure(adj: np.ndarray) -> np.ndarray:
         reach = nxt
 
 
-def largest_scc_oracle(g: WeightedDigraph) -> tuple[str, ...]:
-    """Largest mutually-reachable node set (smallest-index tie-break), by labels."""
+def scc_oracle(g: WeightedDigraph) -> list[list[int]]:
+    """Mutually-reachable node sets from the boolean closure, by smallest index."""
     reach = reachability_closure(g.adjacency())
     mutual = reach & reach.T
     seen: set[int] = set()
@@ -125,6 +125,12 @@ def largest_scc_oracle(g: WeightedDigraph) -> tuple[str, ...]:
         comp = sorted(np.flatnonzero(mutual[i]).tolist())
         seen.update(comp)
         components.append(comp)
+    return components
+
+
+def largest_scc_oracle(g: WeightedDigraph) -> tuple[str, ...]:
+    """Largest mutually-reachable node set (smallest-index tie-break), by labels."""
+    components = scc_oracle(g)
     best = max(len(c) for c in components)
     chosen = min((c for c in components if len(c) == best), key=lambda c: c[0])
     return tuple(g.labels[i] for i in chosen)

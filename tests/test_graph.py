@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ccnet
 from ccnet import (
     GraphError,
     WeightedDigraph,
@@ -14,9 +19,17 @@ from ccnet import (
     graph_asymmetry,
     hop_distance_matrix,
     largest_scc,
+    strongly_connected_components,
     threshold_graph,
 )
-from helpers import largest_scc_oracle, make_tradelike, random_digraph, random_strongly_connected
+from ccnet.graph import _hop_distances
+from helpers import (
+    largest_scc_oracle,
+    make_tradelike,
+    random_digraph,
+    random_strongly_connected,
+    scc_oracle,
+)
 
 
 def cycle_graph(labels):
@@ -121,12 +134,40 @@ class TestLargestScc:
         checked = 0
         for seed in range(60):
             g = random_digraph(int(5 + (seed * 7) % 46), seed, p=0.08)
+            assert sorted(strongly_connected_components(g)) == sorted(scc_oracle(g))
             expected = largest_scc_oracle(g)
             if len(expected) < 2:
                 with pytest.raises(GraphError):
                     largest_scc(g)
                 continue
             assert largest_scc(g).labels == expected
+            checked += 1
+        assert checked > 20
+
+    def test_components_sorted_and_ordered_by_smallest_index(self):
+        g = build_graph([
+            ("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0), ("d", "b", 1.0),
+            ("e", "a", 1.0), ("a", "e", 1.0),
+        ])
+        assert strongly_connected_components(g) == [[0, 4], [1, 2, 3]]
+
+    def test_inherited_hop_matrix_matches_fresh_bfs_and_networkx(self):
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for seed in range(60):
+            g = random_digraph(int(5 + (seed * 7) % 46), seed, p=0.08)
+            components = strongly_connected_components(g)
+            # the LSCC must drop nodes, so its matrix is cut from g's
+            if len(components) < 2 or max(map(len, components)) < 2:
+                continue
+            lscc = largest_scc(g)
+            dist = hop_distance_matrix(lscc)
+            assert not dist.flags.writeable
+            assert np.array_equal(dist, _hop_distances(lscc))
+            lengths = dict(nx.shortest_path_length(nx.from_numpy_array(
+                lscc.adjacency().astype(int), create_using=nx.DiGraph)))
+            assert [[lengths[i][j] for j in range(lscc.n)] for i in range(lscc.n)] \
+                == dist.tolist()
             checked += 1
         assert checked > 20
 
@@ -333,3 +374,14 @@ class TestTranspose:
         gt = g.transpose()
         assert gt.weights[1, 0] == 2.0 and gt.weights[2, 1] == 5.0
         assert np.array_equal(gt.transpose().weights, g.weights)
+
+
+def test_import_loads_no_scipy_sparse():
+    # scipy.sparse (csgraph included) adds about 10 MB peak RSS and 0.1 s to
+    # every run's start-up, both beyond the benchmark's bounds
+    code = ("import sys, ccnet; print(sorted(m for m in sys.modules "
+            "if m == 'scipy.sparse' or m.startswith('scipy.sparse.')))")
+    src = os.path.dirname(os.path.dirname(ccnet.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

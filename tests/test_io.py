@@ -126,6 +126,12 @@ class TestThresholdFactors:
         with pytest.raises(EdgeListError):
             load_factors(str(p))
 
+    def test_factor_file_duplicate_year(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("year,factor\n1990,1.0\n1990,2.0\n")
+        with pytest.raises(EdgeListError, match=r"f\.csv: line 3: duplicate year 1990$"):
+            load_factors(str(p))
+
 
 class TestAnalyze:
     def test_report_block_structure(self, edges_csv):
@@ -210,6 +216,19 @@ class TestAnalyze:
         p = [np.count_nonzero(null >= ccnet.ks_statistic(ccnet.standardize(m).values))
              for m in raw]
         assert report.replaced_measure == raw[int(np.argmin(p))].name
+
+    def test_alt_standardises_each_measure_once(self, edges_csv, monkeypatch):
+        names = []
+
+        def counted(measure):
+            names.append(measure.name)
+            return ccnet.standardize(measure)
+
+        monkeypatch.setattr(ccnet.io, "standardize", counted)
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        analyze(path, e_th, scheme="rtd", measure_set="alt", seed=0, replicates=2500)
+        assert names == [*ccnet.STANDARD_MEASURE_NAMES, "EC"]
 
     def test_round_trip_byte_identical(self, edges_csv):
         path, g = edges_csv

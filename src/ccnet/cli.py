@@ -24,8 +24,15 @@ from .standardize import standardize
 
 
 def _read_values(path: str) -> np.ndarray:
+    values = []
     with open(path, encoding="utf-8") as fh:
-        return np.array([float(line) for line in fh.read().split()])
+        for lineno, line in enumerate(fh, start=1):
+            for text in line.split():
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: non-numeric value {text!r}") from None
+    return np.array(values)
 
 
 def _write(text: str, out: str | None) -> None:

@@ -148,6 +148,8 @@ def analyze(edges_path: str,
     KS p-value by eigenvector centrality (leaf renamed to "EC" in the scheme).
     ``g1_override`` is a testing hook that injects raw G1 vectors in place of
     the graph-derived measure set; the rest of the pipeline is unchanged.
+    A G1 set with constant measures is rejected before any Monte-Carlo work,
+    with one ``GraphError`` naming every constant measure.
     """
     if measure_set not in MEASURE_SETS:
         raise ValueError(f"measure_set must be one of {MEASURE_SETS}")
@@ -168,6 +170,12 @@ def analyze(edges_path: str,
                 raise ValueError(f"override measure {m.name!r} length != node count")
     else:
         raw = standard_measure_set(lsctg)
+    # policy: reject a constant measure, never drop it from the scheme
+    constant = [m.name for m in raw if np.all(m.values == m.values[0])]
+    if constant:
+        raise GraphError(f"measures constant over the {lsctg.n}-node largest strongly "
+                         f"connected component: {', '.join(constant)}; "
+                         "standardisation needs spread")
 
     # one KS null table for every test below: all samples have lsctg.n values
     null = _ks_null(lsctg.n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))

@@ -111,67 +111,94 @@ def max_flow(g: WeightedDigraph, s: int | str, t: int | str) -> float:
     ti = g.index(t)
     if si == ti:
         raise GraphError("max flow needs distinct source and sink")
-    return _edmonds_karp(g.weights.copy(), si, ti)
+    return float(_flows(g.weights, np.array([si]), np.array([ti]))[0])
 
 
-def _edmonds_karp(cap: np.ndarray, s: int, t: int) -> float:
-    """Max s->t flow; ``cap`` (a fresh weight copy) is used up as residual capacity.
+# residual entries per block of pairs solved together: 8 MB of float64
+_BLOCK = 1 << 20
 
-    Warm start: the direct edge s->t and the two-hop paths s->v->t share no
-    edges, so all of them are saturated at once.  Shortest augmenting paths
-    (BFS) then run until none is left or the flow reaches the cut bound
-    min(s_out(s), s_in(t)).
+
+def _flows(w: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Edmonds-Karp max flow for every pair (s[k], t[k]) at once, in lock step.
+
+    Each pair owns a residual copy of ``w``.  Warm start: the direct edge
+    s->t and the two-hop paths s->v->t share no edges, so all of them are
+    saturated at once.  Each round then runs one BFS for every pair still
+    below its cut bound min(s_out(s), s_in(t)), one level for all pairs in
+    one set of numpy calls, and augments along the shortest path found.  A level gathers
+    each pair's frontier rows, in ascending node order and padded with an
+    all-false row, so ``argmax`` picks the smallest-index parent: every pair
+    takes the path a one-pair BFS would take.
     """
-    n = cap.shape[0]
-    bound = min(cap[s].sum(), cap[:, t].sum())
-    via = np.minimum(cap[s], cap[:, t])  # zero at s and t: the diagonal is zero
-    total = cap[s, t] + via.sum()
+    n = w.shape[0]
+    pairs = np.arange(s.size)
+    res = np.broadcast_to(w, (s.size, n, n)).copy()
+    # in-strengths summed per contiguous row, as w[:, t].sum() sums them;
+    # w.sum(axis=0) adds in another order and moves the bound's last bits
+    bound = np.minimum(w.sum(axis=1)[s], np.ascontiguousarray(w.T).sum(axis=1)[t])
+    via = np.minimum(w[s], w.T[t])  # zero at s and t: the diagonal is zero
+    total = w[s, t] + via.sum(axis=1)
     # residual edges into s and out of t lie on no s->t path: not recorded
-    cap[s] -= via
-    cap[:, t] -= via
-    cap[s, t] = 0.0
-    parent = np.empty(n, dtype=np.int64)
-    while total < bound:
-        parent.fill(-1)
-        parent[s] = s
-        frontier = np.zeros(n, dtype=bool)
-        frontier[s] = True
-        while frontier.any() and parent[t] < 0:
-            f_idx = np.flatnonzero(frontier)
-            residual = cap[f_idx] > 0.0
-            new = residual.any(axis=0) & (parent < 0)
-            new_idx = np.flatnonzero(new)
-            if new_idx.size == 0:
-                break
-            first = np.argmax(residual[:, new_idx], axis=0)
-            parent[new_idx] = f_idx[first]
-            frontier = new
-        if parent[t] < 0:
+    res[pairs, s] -= via
+    res[pairs, :, t] -= via
+    res[pairs, s, t] = 0.0
+    live = np.zeros((s.size, n + 1, n), dtype=bool)  # row n: the padding row
+    live[:, :n] = res > 0.0
+    parent = np.empty((s.size, n), dtype=np.int64)
+    nodes = np.arange(n)
+    go = pairs[total < bound]
+    while go.size:
+        parent[go] = -1
+        parent[go, s[go]] = s[go]
+        q, frontier = go, nodes == s[go, None]
+        while q.size:
+            width = frontier.sum(axis=1).max()
+            rows = np.sort(np.where(frontier, nodes, n), axis=1)[:, :width]
+            reach = live[q[:, None], rows]
+            new = reach.any(axis=1) & (parent[q] < 0)
+            i, v = np.nonzero(new)
+            parent[q[i], v] = rows[i, reach[i, :, v].argmax(axis=1)]
+            more = new.any(axis=1) & (parent[q, t[q]] < 0)
+            q, frontier = q[more], new[more]
+        go = go[parent[go, t[go]] >= 0]
+        if not go.size:
             break
-        v = t
-        bottleneck = np.inf
-        while v != s:
-            u = int(parent[v])
-            bottleneck = min(bottleneck, cap[u, v])
-            v = u
-        v = t
-        while v != s:
-            u = int(parent[v])
-            cap[u, v] -= bottleneck
-            cap[v, u] += bottleneck
-            v = u
-        total += bottleneck
-    return float(total)
+        # walk every found path back from t, one edge per pair per step
+        bottleneck = np.full(s.size, np.inf)
+        path_p, path_u, path_v = [], [], []
+        p, v = go, t[go]
+        while p.size:
+            u = parent[p, v]
+            bottleneck[p] = np.minimum(bottleneck[p], res[p, u, v])
+            path_p.append(p)
+            path_u.append(u)
+            path_v.append(v)
+            walking = u != s[p]
+            p, v = p[walking], u[walking]
+        # a shortest path holds no edge in both directions: updates never collide
+        p, u, v = (np.concatenate(a) for a in (path_p, path_u, path_v))
+        res[p, u, v] -= bottleneck[p]
+        res[p, v, u] += bottleneck[p]
+        live[p, u, v] = res[p, u, v] > 0.0
+        live[p, v, u] = res[p, v, u] > 0.0
+        total[go] += bottleneck[go]
+        go = go[total[go] < bound[go]]
+    return total
 
 
 def _pair_flows(g: WeightedDigraph) -> np.ndarray:
-    """N x N matrix of max_flow(i, j), zero on the diagonal."""
+    """N x N matrix of max_flow(i, j), zero on the diagonal.
+
+    The ordered pairs are solved in blocks of at most ``_BLOCK`` residual
+    entries; the flows do not depend on the block size.
+    """
     n = g.n
+    s, t = np.nonzero(~np.eye(n, dtype=bool))
+    per = max(1, _BLOCK // (n * n))
     flows = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                flows[i, j] = _edmonds_karp(g.weights.copy(), i, j)
+    for lo in range(0, s.size, per):
+        block = slice(lo, lo + per)
+        flows[s[block], t[block]] = _flows(g.weights, s[block], t[block])
     return flows
 
 

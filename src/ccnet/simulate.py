@@ -156,11 +156,18 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
     size's null table through the key (size,), so results are bit-identical
     for a given seed and independent of evaluation order.
     """
+    sizes = [int(n) for n in sizes]
+    if not sizes:
+        raise ValueError("sizes must name at least one sample size")
+    # a band needs two realisations for its standard deviation
+    for name, count in (("p_realizations", p_realizations),
+                        ("stat_realizations", stat_realizations)):
+        if count < 2:
+            raise ValueError(f"{name} must be at least 2, got {count}")
     if spec is None:
         spec = ArbMeasureSpec()
     if sampler is None:
         sampler = lambda n, ss: sample_arb(spec, n, ss)  # noqa: E731
-    sizes = [int(n) for n in sizes]
 
     rows = []
     for n in sizes:

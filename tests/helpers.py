@@ -9,9 +9,23 @@ cut enumeration for max flow.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from ccnet import MeasureVector, StandardizedMeasure, WeightedDigraph
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def check_golden(name: str, produced: str) -> None:
+    """Compare output bytes with ``golden/<name>``; CCNET_REGEN_GOLDEN=1 rewrites it."""
+    path = GOLDEN_DIR / name
+    if os.environ.get("CCNET_REGEN_GOLDEN"):
+        path.write_text(produced, encoding="utf-8")
+    assert path.exists(), f"golden file {name} missing; run with CCNET_REGEN_GOLDEN=1"
+    assert produced == path.read_text(encoding="utf-8")
 
 
 def make_tradelike(n: int, seed: int, density: float = 0.35, recip: float = 0.7,

@@ -73,6 +73,21 @@ def test_simulate_control_flag(workdir):
     assert (base / "control.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags, name", [
+    (["--sizes", ""], "sizes"),
+    (["--sizes", "100", "--p-realizations", "1"], "p_realizations"),
+    (["--sizes", "100", "--stat-realizations", "1"], "stat_realizations"),
+], ids=["empty-sizes", "one-p", "one-stat"])
+def test_simulate_degenerate_arguments_exit_two(tmp_path, capsys, flags, name):
+    prefix = tmp_path / "study"
+    code = main(["simulate", *flags, "--replicates", "2500", "--out", str(prefix)])
+    assert code == 2
+    assert f"ccnet: error: {name} must" in capsys.readouterr().err
+    assert not (tmp_path / "study.csv").exists()
+    assert not (tmp_path / "study.json").exists()
+
+
 def test_ngfp_and_cdf(workdir):
     base, edges, _, e_th = workdir
     report = base / "report.json"
@@ -99,6 +114,15 @@ def test_cdf_from_values_file(workdir):
     out = base / "cdf2.svg"
     assert main(["cdf", "--values", str(values), "--out", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("command", ["standardize", "cdf"])
+def test_values_file_bad_line_is_located(tmp_path, capsys, command):
+    values = tmp_path / "vals.txt"
+    values.write_text("1.5\n2.5\n\nsource,target,weight\n3.5\n")
+    assert main([command, "--values", str(values), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ccnet: error: {values}: line 4: non-numeric value 'source,target,weight'\n"
 
 
 def test_cdf_requires_one_source(workdir):

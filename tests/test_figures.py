@@ -1,21 +1,8 @@
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from ccnet import analyze, ks_statistic, render_cdf_overlay, render_ngfp
-from helpers import make_tradelike
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-def _check_golden(name: str, produced: str) -> None:
-    path = GOLDEN_DIR / name
-    if os.environ.get("CCNET_REGEN_GOLDEN"):
-        path.write_text(produced, encoding="utf-8")
-    assert path.exists(), f"golden file {name} missing; run with CCNET_REGEN_GOLDEN=1"
-    assert produced == path.read_text(encoding="utf-8")
+from helpers import check_golden, make_tradelike
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +26,7 @@ class TestNgfp:
         assert render_ngfp(reports, node) == render_ngfp(reports, node)
 
     def test_golden(self, reports):
-        _check_golden("ngfp.svg", render_ngfp(reports, reports[0].labels[0]))
+        check_golden("ngfp.svg", render_ngfp(reports, reports[0].labels[0]))
 
     def test_column_nets_agree_across_generations(self, reports):
         # net (positive minus negative) stack of each generation column equals
@@ -89,7 +76,7 @@ class TestCdfOverlay:
 
     def test_golden(self, reports):
         pooled = np.concatenate([r.generations.root().values for r in reports])
-        _check_golden("cdf.svg", render_cdf_overlay(pooled))
+        check_golden("cdf.svg", render_cdf_overlay(pooled))
 
     def test_deterministic(self):
         scores = np.random.default_rng(2).standard_normal(50)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from ccnet import (
     report_to_json,
 )
 from ccnet.gof import _ks_null
-from helpers import make_tradelike
+from helpers import check_golden, make_tradelike
 
 
 def _write_edges(path, g):
@@ -158,22 +160,31 @@ class TestAnalyze:
         import ccnet.graph
         import ccnet.measures
 
-        counts = {"flow": 0, "hops": 0}
-
-        def counted(key, fn):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(ccnet.measures, "_edmonds_karp",
-                            counted("flow", ccnet.measures._edmonds_karp))
-        monkeypatch.setattr(ccnet.graph, "_hop_distances",
-                            counted("hops", ccnet.graph._hop_distances))
+        _flows = ccnet.measures._flows
+        _hop_distances = ccnet.graph._hop_distances
         path, g = edges_csv
         e_th = float(min(w for _, _, w in g.edge_list()))
-        n = len(analyze(path, e_th, seed=0, replicates=2500).labels)
-        assert counts == {"flow": n * (n - 1), "hops": 1}
+        # the default block holds every pair at this size; 2800 entries cut
+        # the pairs into blocks of 7 with an uneven last block
+        for block in (ccnet.measures._BLOCK, 2800):
+            counts = {"hops": 0}
+            pairs = []
+
+            def hops(*args):
+                counts["hops"] += 1
+                return _hop_distances(*args)
+
+            def flows(w, s, t):
+                pairs.extend(zip(s.tolist(), t.tolist()))
+                return _flows(w, s, t)
+
+            monkeypatch.setattr(ccnet.measures, "_flows", flows)
+            monkeypatch.setattr(ccnet.graph, "_hop_distances", hops)
+            monkeypatch.setattr(ccnet.measures, "_BLOCK", block)
+            n = len(analyze(path, e_th, seed=0, replicates=2500).labels)
+            # every ordered pair solved exactly once, across all blocks
+            assert sorted(pairs) == [(s, t) for s in range(n) for t in range(n) if s != t]
+            assert counts == {"hops": 1}
 
     @pytest.mark.parametrize("scheme, measure_set", [("drt", "sf"), ("rtd", "alt")])
     def test_one_null_table_ranks_every_ks_test(self, edges_csv, monkeypatch,
@@ -298,6 +309,28 @@ class TestAnalyze:
             assert composite_gof.test_name == "ks-monte-carlo:COMPOSITE"
             accepted += composite_gof.decision == "accept"
         assert accepted >= 24
+
+    def test_constant_measures_all_named_before_any_draw(self, tmp_path, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew the KS null table before checking the measures")
+
+        monkeypatch.setattr(ccnet.io, "_ks_null", no_draw)
+        complete = [(f"v{i}", f"v{j}", 1.0) for i in range(8) for j in range(8) if i != j]
+        ring = [(f"v{i}", f"v{(i + 1) % 8}", float(i + 1)) for i in range(8)]
+        for edges, names in ((complete, ccnet.STANDARD_MEASURE_NAMES),
+                             (ring, ("IN-LO-QL", "IN-SH-QL", "OUT-LO-QL", "OUT-SH-QL"))):
+            path = tmp_path / "edges.csv"
+            path.write_text("source,target,weight\n"
+                            + "".join(f"{s},{t},{w!r}\n" for s, t, w in edges))
+            with pytest.raises(GraphError, match="8-node") as err:
+                analyze(str(path), 0.5, replicates=2500)
+            assert str(err.value).split(": ")[1].split("; ")[0] == ", ".join(names)
+
+    def test_non_degenerate_report_bytes_unchanged(self, edges_csv):
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        report = replace(analyze(path, e_th, seed=0, replicates=2500), source="edges.csv")
+        check_golden("report.json", report_to_json(report))
 
     def test_override_length_checked(self, edges_csv):
         path, _ = edges_csv

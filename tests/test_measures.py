@@ -10,6 +10,7 @@ from ccnet import (
     eigenvector_centrality,
     max_flow,
     maxflow_measure,
+    measures,
     standard_measure_set,
     strength,
     summarize,
@@ -166,6 +167,54 @@ class TestMaxflowMeasure:
             f_in = maxflow_measure(g, "in").values
             f_out = maxflow_measure(g, "out").values
             assert f_in.mean() == pytest.approx(f_out.mean(), rel=1e-12)
+
+    def test_cached_flow_matrix_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for n, seed in ((20, 1), (30, 2)):
+            g = make_tradelike(n, seed)
+            f_in = maxflow_measure(g, "in").values
+            flows = g.cached("maxflow", measures._pair_flows)
+            assert np.array_equal(f_in, flows.sum(axis=0) / (n - 1))
+            ref = nx.DiGraph()
+            ref.add_nodes_from(range(n))
+            for i, j in zip(*np.nonzero(g.weights)):
+                ref.add_edge(int(i), int(j), capacity=float(g.weights[i, j]))
+            for s in range(n):
+                assert flows[s, s] == 0.0
+                for t in range(n):
+                    if s != t:
+                        assert flows[s, t] == pytest.approx(
+                            nx.maximum_flow_value(ref, s, t), rel=1e-12, abs=0.0)
+
+
+class TestFlowBlocks:
+    """The all-pairs matrix does not depend on how the pairs are cut into blocks."""
+
+    @pytest.mark.parametrize("g", [make_tradelike(20, 1), random_strongly_connected(11, 0),
+                                   random_digraph(9, 3, p=0.2)],
+                             ids=["tradelike-float", "integer", "zero-flow-pairs"])
+    def test_block_seams_bit_equal(self, g, monkeypatch):
+        n = g.n
+        default = measures._pair_flows(g)
+        assert n * (n - 1) * n * n <= measures._BLOCK  # one block holds every pair
+        for block in (n * n, 7 * n * n):  # one pair per block; an uneven last block
+            monkeypatch.setattr(measures, "_BLOCK", block)
+            assert measures._pair_flows(g).tobytes() == default.tobytes()
+        pairwise = np.array([[max_flow(g, s, t) if s != t else 0.0 for t in range(n)]
+                             for s in range(n)])
+        assert pairwise.tobytes() == default.tobytes()
+
+    def test_integer_matrix_matches_cut_oracle_and_zero_flows(self):
+        g = random_strongly_connected(11, 0)
+        oracle = np.array([[min_cut_oracle(g.weights, s, t) if s != t else 0.0
+                            for t in range(11)] for s in range(11)])
+        assert np.array_equal(measures._pair_flows(g), oracle)
+        g = random_digraph(9, 3, p=0.2)
+        flows = measures._pair_flows(g)
+        off = ~np.eye(9, dtype=bool)
+        assert np.any(flows[off] == 0.0)
+        for s, t in zip(*np.nonzero(off)):
+            assert flows[s, t] == min_cut_oracle(g.weights, s, t)
 
 
 class TestEigenvectorCentrality:

@@ -140,6 +140,23 @@ class TestStudy:
             gof_vs_n_study(sizes=(200, 100), p_realizations=2, stat_realizations=4,
                            replicates=2500, seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"sizes": ()}, "sizes"),
+        ({"p_realizations": 1}, "p_realizations"),
+        ({"stat_realizations": 1}, "stat_realizations"),
+        ({"p_realizations": 0, "stat_realizations": 0}, "p_realizations"),
+    ], ids=["no-sizes", "one-p", "one-stat", "zero-both"])
+    def test_degenerate_arguments_rejected_before_any_draw(self, monkeypatch, kwargs, name):
+        def no_draw(*args):
+            raise AssertionError("drew a null table before checking the arguments")
+
+        monkeypatch.setattr(ccnet.simulate, "_ks_null", no_draw)
+        args = {"sizes": (100,), "p_realizations": 2, "stat_realizations": 4,
+                "replicates": 2500, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            gof_vs_n_study(**args)
+
     def test_serialization_round_trip(self):
         study = gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=4,
                                replicates=2500, seed=4)

@@ -61,12 +61,18 @@ def ks_statistic(sample) -> float:
 
 
 def _ks_rows(cdf_rows: np.ndarray) -> np.ndarray:
-    """KS statistics of rows of sorted CDF values (uniform under the null)."""
+    """KS statistics of rows of sorted CDF values (uniform under the null).
+
+    Consumes its argument: ``cdf_rows`` is overwritten, so that a chunk needs
+    one buffer of its size besides itself.
+    """
     n = cdf_rows.shape[1]
     i = np.arange(1, n + 1)
-    upper = np.abs(i / n - cdf_rows)
-    lower = np.abs(cdf_rows - (i - 1) / n)
-    return np.max(np.maximum(upper, lower), axis=1)
+    upper = i / n - cdf_rows
+    np.abs(upper, out=upper)
+    lower = np.subtract(cdf_rows, (i - 1) / n, out=cdf_rows)
+    np.abs(lower, out=lower)
+    return np.max(np.maximum(upper, lower, out=upper), axis=1)
 
 
 def _ks_null(n: int, replicates: int,
@@ -88,6 +94,7 @@ def _ks_null(n: int, replicates: int,
         draws = np.random.default_rng(child).random((rows, n))
         draws.sort(axis=1)
         null[done:done + rows] = _ks_rows(draws)
+        del draws  # free the chunk before the next one is drawn
         done += rows
     null.sort()
     null.flags.writeable = False

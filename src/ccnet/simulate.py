@@ -159,6 +159,8 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
     sizes = [int(n) for n in sizes]
     if not sizes:
         raise ValueError("sizes must name at least one sample size")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
     # a band needs two realisations for its standard deviation
     for name, count in (("p_realizations", p_realizations),
                         ("stat_realizations", stat_realizations)):
@@ -169,16 +171,20 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
     if sampler is None:
         sampler = lambda n, ss: sample_arb(spec, n, ss)  # noqa: E731
 
+    def draw(n: int, r: int) -> list[MeasureVector]:
+        return sampler(n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0)))
+
     rows = []
     for n in sizes:
+        # the first sample comes before the table, so a size the sampler
+        # rejects fails before the table is drawn
+        first = draw(n, 0)
         null = _ks_null(n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
         comp_stats = np.empty(stat_realizations)
         null_stats = np.empty(stat_realizations)
         p_values = np.empty(p_realizations)
         for r in range(max(stat_realizations, p_realizations)):
-            scores = composite_scores(
-                sampler(n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0))))
-            observed = ks_statistic(scores)
+            observed = ks_statistic(composite_scores(first if r == 0 else draw(n, r)))
             if r < stat_realizations:
                 comp_stats[r] = observed
                 null_draw = np.random.default_rng(

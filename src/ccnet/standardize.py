@@ -26,6 +26,8 @@ LAMBDA_MAX = 5.0
 LAMBDA_TOL = 1e-4
 _GRID_STEP = 0.1
 _INVPHI = (5.0**0.5 - 1.0) / 2.0
+# element budget of one block of the lambda-grid array (512 KB of float64)
+_GRID_BUDGET = 1 << 16
 # pre-shift target: minimum lands this fraction of the range above zero
 _SHIFT_MARGIN = 1e-6
 
@@ -102,14 +104,8 @@ def box_cox_loglik(xs, lam: float) -> float:
     (lam - 1) * sum(ln x_i) - (n/2) * ln( sum((x~_i - mean(x~))^2) / n ), where
     x~ = box_cox(x, lam).  Overflowing exponents yield -inf.
     """
-    xs = np.asarray(xs, dtype=float)
-    _check_sample(xs)
-    n = xs.size
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = box_cox(xs, lam)
-        var = np.sum((t - t.mean()) ** 2) / n
-        ll = (lam - 1.0) * np.sum(np.log(xs)) - 0.5 * n * np.log(var)
-    return float(ll) if np.isfinite(ll) else -np.inf
+    logx = _log_sample(xs)
+    return float(_loglik(logx, np.sum(logx), np.array([lam], dtype=float))[0])
 
 
 def fit_lambda(xs) -> float:
@@ -117,29 +113,64 @@ def fit_lambda(xs) -> float:
 
     A 0.1-step grid scan locates the peak (ties resolved towards the smallest
     exponent), then golden-section refinement narrows the bracket.  Robust
-    against the flat likelihoods of near-symmetric samples.
+    against the flat likelihoods of near-symmetric samples.  The grid is
+    evaluated in row blocks of about ``_GRID_BUDGET`` elements.
     """
-    xs = np.asarray(xs, dtype=float)
-    _check_sample(xs)
+    logx = _log_sample(xs)
+    slog = np.sum(logx)
     grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _GRID_STEP / 2, _GRID_STEP)
-    vals = [box_cox_loglik(xs, float(lam)) for lam in grid]
+    rows = max(1, _GRID_BUDGET // logx.size)
+    vals = np.concatenate([_loglik(logx, slog, grid[i:i + rows])
+                           for i in range(0, grid.size, rows)])
     k = int(np.argmax(vals))  # argmax takes the first (smallest) maximiser
+
+    def f(lam: float) -> float:
+        return float(_loglik(logx, slog, np.array([lam]))[0])
+
     a = max(LAMBDA_MIN, float(grid[k]) - _GRID_STEP)
     b = min(LAMBDA_MAX, float(grid[k]) + _GRID_STEP)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = box_cox_loglik(xs, c)
-    fd = box_cox_loglik(xs, d)
+    fc = f(c)
+    fd = f(d)
     while b - a > LAMBDA_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = box_cox_loglik(xs, c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = box_cox_loglik(xs, d)
+            fd = f(d)
     return float((a + b) / 2.0)
+
+
+def _log_sample(xs) -> np.ndarray:
+    """ln x of a valid sample; ``box_cox`` at lam = 0 checks it is strictly positive."""
+    xs = np.asarray(xs, dtype=float)
+    _check_sample(xs)
+    return box_cox(xs, 0.0)
+
+
+def _loglik(logx: np.ndarray, slog: float, lams: np.ndarray) -> np.ndarray:
+    """Profile log-likelihoods at each exponent in ``lams`` from one (lams, n) array.
+
+    ``logx`` is ln x and ``slog`` its sum.  Row by row the arithmetic is that
+    of ``box_cox`` (the lam = 0 row is ln x itself), so every value matches a
+    scalar evaluation bit for bit; non-finite values become -inf.
+    """
+    n = logx.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.multiply.outer(lams, logx)
+        np.expm1(t, out=t)
+        t /= lams[:, None]
+        t[lams == 0.0] = logx
+        t -= t.mean(axis=1, keepdims=True)
+        np.square(t, out=t)
+        var = np.sum(t, axis=1) / n
+        ll = (lams - 1.0) * slog - 0.5 * n * np.log(var)
+    ll[~np.isfinite(ll)] = -np.inf
+    return ll
 
 
 def skewness(xs) -> float:

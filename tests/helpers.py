@@ -4,7 +4,8 @@ The graph generators mimic trade-style networks (latent node sizes drive both
 edge presence and weight), which keeps the eight standard measures strongly
 correlated, as in the real networks this machinery targets.  The oracles are
 deliberately naive: boolean-closure reachability for components, exhaustive
-cut enumeration for max flow.
+cut enumeration for max flow, one scalar likelihood call per exponent for the
+Box-Cox fit.
 """
 
 from __future__ import annotations
@@ -160,3 +161,41 @@ def min_cut_oracle(weights: np.ndarray, s: int, t: int) -> float:
     # capacity of cut S: sum over i in S, j not in S of w[i, j]
     caps = np.einsum("ki,ij,kj->k", side, weights, 1.0 - side)
     return float(caps.min())
+
+
+def box_cox_loglik_oracle(xs: np.ndarray, lam: float) -> float:
+    """Box-Cox profile log-likelihood at one exponent, one scalar pass."""
+    xs = np.asarray(xs, dtype=float)
+    n = xs.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.log(xs) if lam == 0.0 else np.expm1(lam * np.log(xs)) / lam
+        var = np.sum((t - t.mean()) ** 2) / n
+        ll = (lam - 1.0) * np.sum(np.log(xs)) - 0.5 * n * np.log(var)
+    return float(ll) if np.isfinite(ll) else -np.inf
+
+
+BOX_COX_GRID = np.arange(-5.0, 5.0 + 0.05, 0.1)
+
+
+def fit_lambda_oracle(xs: np.ndarray) -> float:
+    """Box-Cox exponent by a scalar scan of the 0.1-step grid on [-5, 5]
+    (first maximiser wins), then golden-section search to 1e-4."""
+    invphi = (5.0**0.5 - 1.0) / 2.0
+    vals = [box_cox_loglik_oracle(xs, float(lam)) for lam in BOX_COX_GRID]
+    k = int(np.argmax(vals))
+    a = max(-5.0, float(BOX_COX_GRID[k]) - 0.1)
+    b = min(5.0, float(BOX_COX_GRID[k]) + 0.1)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = box_cox_loglik_oracle(xs, c)
+    fd = box_cox_loglik_oracle(xs, d)
+    while b - a > 1e-4:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = box_cox_loglik_oracle(xs, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = box_cox_loglik_oracle(xs, d)
+    return float((a + b) / 2.0)

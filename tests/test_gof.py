@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from ccnet import AD_CRITICAL_10PCT, anderson_darling, ks_p_value, ks_statistic
-from ccnet.gof import _ks_null
+from ccnet.gof import _CHUNK_DRAWS, _ks_null
 
 
 class TestKsStatistic:
@@ -157,6 +157,20 @@ class TestKsNull:
         null = _ks_null(n, 2500, seed=0)
         assert null.size == 2500
         assert 1.0 / (2 * n) <= null[0] and null[-1] <= 1.0
+
+
+    def test_table_matches_per_row_reference(self):
+        # same chunk seeding, one row at a time without the in-place kernel;
+        # n = 5000 takes two full chunks and a partial one
+        n, b = 5000, 2500
+        per_chunk = _CHUNK_DRAWS // n
+        i = np.arange(1, n + 1)
+        expected = []
+        for k, child in enumerate(np.random.SeedSequence(4).spawn(math.ceil(b / per_chunk))):
+            for row in np.random.default_rng(child).random((min(per_chunk, b - k * per_chunk), n)):
+                u = np.sort(row)
+                expected.append(max(np.max(np.abs(i / n - u)), np.max(np.abs(u - (i - 1) / n))))
+        assert np.array_equal(_ks_null(n, b, seed=4), np.sort(expected))
 
 
 class TestAndersonDarling:

@@ -20,6 +20,8 @@ from ccnet import (
     standard_measure_set,
     standardize,
 )
+from ccnet.standardize import _GRID_BUDGET
+from helpers import BOX_COX_GRID, box_cox_loglik_oracle, fit_lambda_oracle
 
 
 def _raw_families(rng, n):
@@ -127,6 +129,52 @@ class TestFitLambda:
         rng = np.random.default_rng(3)
         xs = rng.exponential(1.0, 5000)
         assert 0.2 <= fit_lambda(xs / xs.mean()) <= 0.45
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    seam = _GRID_BUDGET // BOX_COX_GRID.size  # the largest n with one grid block
+    cases = {"n3-minimum": np.array([0.4, 1.1, 1.5])}
+    for n in (seam, seam + 1, _GRID_BUDGET // 99 + 1):
+        cases[f"n{n}-lognormal"] = rng.lognormal(0.0, 0.8, n)
+    cases["n10000-pareto"] = (rng.pareto(3.0, 10_000) + 1.0) * 100.0
+    # unscaled: part of the grid overflows to -inf
+    cases["n400-unscaled-normal"] = rng.normal(1e5, 1e3, 400)
+    # a coefficient of variation of 1e-12 flattens the likelihood into exact
+    # ties at its grid maximum
+    cases["n50-tied-maximum"] = 1.0 + 1e-12 * np.random.default_rng(0).standard_normal(50)
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+class TestGridOracle:
+    """Bit-equality against the one-call-per-exponent loop in ``helpers``."""
+
+    @pytest.mark.parametrize("xs", list(_ORACLE_CASES.values()), ids=list(_ORACLE_CASES))
+    def test_matches_scalar_loop(self, xs):
+        expected = [box_cox_loglik_oracle(xs, float(lam)) for lam in BOX_COX_GRID]
+        assert [box_cox_loglik(xs, float(lam)) for lam in BOX_COX_GRID] == expected
+        assert fit_lambda(xs) == fit_lambda_oracle(xs)
+
+    def test_cases_cover_blocks_overflow_and_ties(self):
+        cases = _ORACLE_CASES
+        rows = [_GRID_BUDGET // len(x) for x in cases.values()]
+        assert any(r >= BOX_COX_GRID.size for r in rows)  # the grid in one block
+        assert any(BOX_COX_GRID.size % r for r in rows if r < BOX_COX_GRID.size)  # a short last block
+        grid = [box_cox_loglik_oracle(cases["n400-unscaled-normal"], float(lam))
+                for lam in BOX_COX_GRID]
+        assert -np.inf in grid and max(grid) > -np.inf
+        grid = np.array([box_cox_loglik_oracle(cases["n50-tied-maximum"], float(lam))
+                         for lam in BOX_COX_GRID])
+        assert np.sum(grid == grid.max()) > 1
+
+    def test_non_positive_rejected_once(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit_lambda(np.array([1.0, 2.0, 0.0, 3.0]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            box_cox_loglik(np.array([1.0, -2.0, 3.0]), 0.5)
 
 
 class TestSkewness:

@@ -27,6 +27,7 @@ from .graph import (
     threshold_graph,
 )
 from .measures import (
+    AXES,
     STANDARD_MEASURE_NAMES,
     MeasureVector,
     aspl,

@@ -9,8 +9,11 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .composite import BUILTIN_SCHEME_IDS
 from .figures import render_cdf_overlay, render_ngfp
+from .gof import DEFAULT_REPLICATES
 from .io import (
+    MEASURE_SETS,
     adjust_threshold,
     analyze,
     factor_for_year,
@@ -63,17 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, required=True, help="base edge threshold")
     p.add_argument("--factor-file", help="year,factor CSV of threshold multipliers")
     p.add_argument("--year", type=int, help="year tag; selects the factor when given")
-    p.add_argument("--scheme", default="drt", help="builtin id (drt|rtd|tdr) or scheme JSON path")
-    p.add_argument("--measures", default="sf", choices=("sf", "alt"))
+    p.add_argument("--scheme", default="drt",
+                   help=f"builtin id ({'|'.join(BUILTIN_SCHEME_IDS)}) or scheme JSON path")
+    p.add_argument("--measures", default="sf", choices=MEASURE_SETS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=int, default=10_000)
+    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     p.add_argument("--out", help="report JSON path (stdout when omitted)")
 
     p = sub.add_parser("simulate", help="composite GoF study over sample sizes")
     p.add_argument("--sizes", default="100,1000,10000", help="comma-separated sample sizes")
     p.add_argument("--p-realizations", type=int, default=10)
     p.add_argument("--stat-realizations", type=int, default=100)
-    p.add_argument("--replicates", type=int, default=10_000)
+    p.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--control", action="store_true",
                    help="replace the five distributions by i.i.d. standard normals")

@@ -17,10 +17,11 @@ import functools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .measures import AXES
 from .standardize import StandardizedMeasure
 
 
@@ -42,6 +43,12 @@ class SchemeNode:
         return not self.children
 
 
+def _preorder(node: SchemeNode) -> Iterator[SchemeNode]:
+    yield node
+    for child in node.children:
+        yield from _preorder(child)
+
+
 @dataclass(frozen=True)
 class InheritanceScheme:
     """Strictly binary combination tree; leaves name first-generation measures."""
@@ -50,36 +57,18 @@ class InheritanceScheme:
     scheme_id: str = "custom"
 
     def __post_init__(self) -> None:
-        names: list[str] = []
-        internal: list[str] = []
-
-        def walk(node: SchemeNode) -> None:
-            if node.is_leaf:
-                names.append(node.name)
-                return
-            if len(node.children) != 2:
+        nodes = list(_preorder(self.root))
+        for node in nodes:
+            if not node.is_leaf and len(node.children) != 2:
                 raise SchemeError(f"internal node {node.name!r} must have exactly 2 children")
-            internal.append(node.name)
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
-        if len(set(names)) != len(names):
+        leaves = [node.name for node in nodes if node.is_leaf]
+        if len(set(leaves)) != len(leaves):
             raise SchemeError("every leaf must be used exactly once")
-        if len(set(internal + names)) != len(internal) + len(names):
+        if len({node.name for node in nodes}) != len(nodes):
             raise SchemeError("scheme node names must be unique")
 
     def leaves(self) -> tuple[str, ...]:
-        out: list[str] = []
-
-        def walk(node: SchemeNode) -> None:
-            if node.is_leaf:
-                out.append(node.name)
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
-        return tuple(out)
+        return tuple(node.name for node in _preorder(self.root) if node.is_leaf)
 
     def rename_leaf(self, old: str, new: str) -> "InheritanceScheme":
         """Same tree with one leaf renamed (used by the alternative measure set)."""
@@ -247,50 +236,24 @@ def scheme_to_dict(scheme: InheritanceScheme) -> dict:
     return walk(scheme.root)
 
 
-def _leaf(name: str) -> SchemeNode:
-    return SchemeNode(name)
+BUILTIN_SCHEME_IDS = ("drt", "rtd", "tdr")
 
 
-_BUILTIN_TREES = {
-    # Split axes from the root down; G2 always merges the last axis.
-    "drt": SchemeNode("COMPOSITE", (
-        SchemeNode("IN", (
-            SchemeNode("IN-LO", (_leaf("IN-LO-QL"), _leaf("IN-LO-QN"))),
-            SchemeNode("IN-SH", (_leaf("IN-SH-QL"), _leaf("IN-SH-QN"))),
-        )),
-        SchemeNode("OUT", (
-            SchemeNode("OUT-LO", (_leaf("OUT-LO-QL"), _leaf("OUT-LO-QN"))),
-            SchemeNode("OUT-SH", (_leaf("OUT-SH-QL"), _leaf("OUT-SH-QN"))),
-        )),
-    )),
-    "rtd": SchemeNode("COMPOSITE", (
-        SchemeNode("LO", (
-            SchemeNode("LO-QL", (_leaf("IN-LO-QL"), _leaf("OUT-LO-QL"))),
-            SchemeNode("LO-QN", (_leaf("IN-LO-QN"), _leaf("OUT-LO-QN"))),
-        )),
-        SchemeNode("SH", (
-            SchemeNode("SH-QL", (_leaf("IN-SH-QL"), _leaf("OUT-SH-QL"))),
-            SchemeNode("SH-QN", (_leaf("IN-SH-QN"), _leaf("OUT-SH-QN"))),
-        )),
-    )),
-    "tdr": SchemeNode("COMPOSITE", (
-        SchemeNode("QL", (
-            SchemeNode("QL-IN", (_leaf("IN-LO-QL"), _leaf("IN-SH-QL"))),
-            SchemeNode("QL-OUT", (_leaf("OUT-LO-QL"), _leaf("OUT-SH-QL"))),
-        )),
-        SchemeNode("QN", (
-            SchemeNode("QN-IN", (_leaf("IN-LO-QN"), _leaf("IN-SH-QN"))),
-            SchemeNode("QN-OUT", (_leaf("OUT-LO-QN"), _leaf("OUT-SH-QN"))),
-        )),
-    )),
-}
+def _tree(order: str, prefix: tuple[str, ...] = ()) -> SchemeNode:
+    """Split the axes of ``AXES`` in ``order`` from the root down.
 
-BUILTIN_SCHEME_IDS = tuple(_BUILTIN_TREES)
+    An internal node is named by the axis values chosen so far ("IN",
+    "IN-LO"); a leaf, with every axis chosen, by its D-R-T measure name.
+    """
+    if len(prefix) == len(order):
+        value = dict(zip(order, prefix))
+        return SchemeNode("-".join(value[axis] for axis in AXES))
+    children = tuple(_tree(order, prefix + (v,)) for v in AXES[order[len(prefix)]])
+    return SchemeNode("-".join(prefix) or "COMPOSITE", children)
 
 
 def builtin_scheme(scheme_id: str) -> InheritanceScheme:
-    """Shipped schemes over the standard measure set: 'drt', 'rtd', 'tdr'."""
-    try:
-        return InheritanceScheme(_BUILTIN_TREES[scheme_id], scheme_id=scheme_id)
-    except KeyError:
-        raise SchemeError(f"unknown builtin scheme {scheme_id!r}") from None
+    """Shipped schemes over the standard measure set; the id is the axis split order."""
+    if scheme_id not in BUILTIN_SCHEME_IDS:
+        raise SchemeError(f"unknown builtin scheme {scheme_id!r}")
+    return InheritanceScheme(_tree(scheme_id), scheme_id=scheme_id)

@@ -174,8 +174,8 @@ def threshold_graph(g: WeightedDigraph, e_th: float) -> WeightedDigraph:
 
     Nodes are retained even if isolated; a later LSCC extraction removes them.
     """
-    if not e_th > 0.0:
-        raise GraphError(f"threshold must be positive, got {e_th!r}")
+    if not 0.0 < e_th < np.inf:
+        raise GraphError(f"threshold must be positive and finite, got {e_th!r}")
     w = np.where(g.weights >= e_th, g.weights, 0.0)
     return WeightedDigraph(g.labels, w)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,15 @@ from .composite import (
     load_scheme,
     run_scheme,
 )
-from .gof import AD_MIN_SAMPLE, GoFReport, _ks_null, _ks_rank, anderson_darling, ks_statistic
+from .gof import (
+    AD_MIN_SAMPLE,
+    DEFAULT_REPLICATES,
+    GoFReport,
+    _ks_null,
+    _ks_rank,
+    anderson_darling,
+    ks_statistic,
+)
 from .graph import GraphError, GraphSummary, _check_edge, build_graph, largest_scc, threshold_graph
 from .measures import MeasureVector, eigenvector_centrality, standard_measure_set, summarize
 from .standardize import standardize
@@ -85,8 +93,9 @@ def load_factors(path: str) -> dict[int, float]:
             factor = float(parts[1])
         except ValueError:
             raise EdgeListError(f"{path}: line {lineno}: bad year/factor pair") from None
-        if factor <= 0.0:
-            raise EdgeListError(f"{path}: line {lineno}: factor must be positive")
+        if not 0.0 < factor < math.inf:
+            raise EdgeListError(f"{path}: line {lineno}: factor must be positive and finite, "
+                                f"got {parts[1]!r}")
         if year in factors:
             raise EdgeListError(f"{path}: line {lineno}: duplicate year {year}")
         factors[year] = factor
@@ -95,8 +104,9 @@ def load_factors(path: str) -> dict[int, float]:
 
 def adjust_threshold(base: float, factor: float) -> float:
     """Scale a base edge threshold by a per-year growth factor."""
-    if base <= 0.0 or factor <= 0.0:
-        raise ValueError("threshold and factor must be positive")
+    if not (0.0 < base < math.inf and 0.0 < factor < math.inf):
+        raise ValueError(f"threshold and factor must be positive and finite, "
+                         f"got {base!r} and {factor!r}")
     return base * factor
 
 
@@ -139,15 +149,12 @@ def analyze(edges_path: str,
             scheme: str | InheritanceScheme = "drt",
             measure_set: str = "sf",
             seed: int = 0,
-            replicates: int = 10_000,
-            year: int | None = None,
-            g1_override: Sequence[MeasureVector] | None = None) -> AnalysisReport:
+            replicates: int = DEFAULT_REPLICATES,
+            year: int | None = None) -> AnalysisReport:
     """Full pipeline: threshold, LSCC, measures, standardise, scheme, GoF.
 
     ``measure_set="alt"`` replaces the G1 measure with the lowest Monte-Carlo
     KS p-value by eigenvector centrality (leaf renamed to "EC" in the scheme).
-    ``g1_override`` is a testing hook that injects raw G1 vectors in place of
-    the graph-derived measure set; the rest of the pipeline is unchanged.
     A G1 set with constant measures is rejected before any Monte-Carlo work,
     with one ``GraphError`` naming every constant measure.
     """
@@ -163,13 +170,7 @@ def analyze(edges_path: str,
                          f"the goodness-of-fit tests need at least {AD_MIN_SAMPLE}")
     summary = summarize(lsctg, full=full)
 
-    if g1_override is not None:
-        raw = list(g1_override)
-        for m in raw:
-            if m.values.shape != (lsctg.n,):
-                raise ValueError(f"override measure {m.name!r} length != node count")
-    else:
-        raw = standard_measure_set(lsctg)
+    raw = standard_measure_set(lsctg)
     # policy: reject a constant measure, never drop it from the scheme
     constant = [m.name for m in raw if np.all(m.values == m.values[0])]
     if constant:

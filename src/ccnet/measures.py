@@ -8,6 +8,7 @@ standardisation step.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +26,12 @@ from .graph import (
     hop_distance_matrix,
 )
 
-STANDARD_MEASURE_NAMES = (
-    "IN-LO-QL",   # incoming ASPL (farness)
-    "IN-LO-QN",   # incoming max flow
-    "IN-SH-QL",   # in-degree
-    "IN-SH-QN",   # in-strength
-    "OUT-LO-QL",  # outgoing ASPL
-    "OUT-LO-QN",  # outgoing max flow
-    "OUT-SH-QL",  # out-degree
-    "OUT-SH-QN",  # out-strength
-)
+# the three binary axes of a radial measure: direction (IN/OUT), range (LO:
+# long, over paths; SH: short, over incident edges) and texture (QL:
+# qualitative, counts hops or edges; QN: quantitative, sums weights)
+AXES = {"d": ("IN", "OUT"), "r": ("LO", "SH"), "t": ("QL", "QN")}
+
+STANDARD_MEASURE_NAMES = tuple("-".join(p) for p in itertools.product(*AXES.values()))
 
 
 @dataclass(frozen=True)
@@ -244,22 +241,19 @@ def eigenvector_centrality(g: WeightedDigraph) -> MeasureVector:
 def standard_measure_set(g: WeightedDigraph) -> list[MeasureVector]:
     """The eight D-R-T measures in fixed order (IN-LO-QL ... OUT-SH-QN).
 
+    A name's range-texture pair picks the measure (LO-QL farness, LO-QN max
+    flow, SH-QL degree, SH-QN strength) and its direction is the argument.
     Expects an LSCTG-style strongly connected graph.
     """
-    l_in = aspl(g, "in")
-    l_out = aspl(g, "out")
-    f_in = maxflow_measure(g, "in")
-    f_out = maxflow_measure(g, "out")
-    d_in = degree(g, "in")
-    d_out = degree(g, "out")
-    s_in = strength(g, "in")
-    s_out = strength(g, "out")
-    table = {
-        "IN-LO-QL": l_in, "IN-LO-QN": f_in, "IN-SH-QL": d_in, "IN-SH-QN": s_in,
-        "OUT-LO-QL": l_out, "OUT-LO-QN": f_out, "OUT-SH-QL": d_out, "OUT-SH-QN": s_out,
-    }
-    return [MeasureVector(name, table[name].values, table[name].bigger_is_better)
-            for name in STANDARD_MEASURE_NAMES]
+    # built per call: a wrapper installed on a module attribute must be seen
+    by_range_texture = {"LO-QL": aspl, "LO-QN": maxflow_measure,
+                        "SH-QL": degree, "SH-QN": strength}
+    out = []
+    for name in STANDARD_MEASURE_NAMES:
+        direction, range_texture = name.split("-", 1)
+        m = by_range_texture[range_texture](g, direction.lower())
+        out.append(MeasureVector(name, m.values, m.bigger_is_better))
+    return out
 
 
 def summarize(g: WeightedDigraph, full: WeightedDigraph | None = None) -> GraphSummary:

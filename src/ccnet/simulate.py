@@ -14,7 +14,7 @@ floor; that floor is the composite curve of the exact-null control run
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,16 +218,12 @@ def _band(prefix: str, values: np.ndarray) -> dict[str, float]:
             f"{prefix}_hi": mean + half}
 
 
-_CSV_COLUMNS = ("size", "p_mean", "p_lo", "p_hi", "comp_ks_mean", "comp_ks_lo",
-                "comp_ks_hi", "null_ks_mean", "null_ks_lo", "null_ks_hi")
-
-
 def study_to_csv(study: StudyResult) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
+    """One header line of ``SizeResult`` field names, then one line per size."""
+    lines = [",".join(f.name for f in fields(SizeResult))]
     for row in study.rows:
-        rec = asdict(row)
-        lines.append(",".join(repr(rec[c]) if c != "size" else str(rec[c])
-                              for c in _CSV_COLUMNS))
+        lines.append(",".join(str(v) if k == "size" else repr(v)
+                              for k, v in asdict(row).items()))
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,33 @@ def check_golden(name: str, produced: str) -> None:
     assert produced == path.read_text(encoding="utf-8")
 
 
+# the built-in scheme trees as typed out before they were generated from the
+# D-R-T axis table, in ``scheme_to_dict`` form
+BUILTIN_TREES = {
+    "drt": {"name": "COMPOSITE", "children": [
+        {"name": "IN", "children": [
+            {"name": "IN-LO", "children": [{"name": "IN-LO-QL"}, {"name": "IN-LO-QN"}]},
+            {"name": "IN-SH", "children": [{"name": "IN-SH-QL"}, {"name": "IN-SH-QN"}]}]},
+        {"name": "OUT", "children": [
+            {"name": "OUT-LO", "children": [{"name": "OUT-LO-QL"}, {"name": "OUT-LO-QN"}]},
+            {"name": "OUT-SH", "children": [{"name": "OUT-SH-QL"}, {"name": "OUT-SH-QN"}]}]}]},
+    "rtd": {"name": "COMPOSITE", "children": [
+        {"name": "LO", "children": [
+            {"name": "LO-QL", "children": [{"name": "IN-LO-QL"}, {"name": "OUT-LO-QL"}]},
+            {"name": "LO-QN", "children": [{"name": "IN-LO-QN"}, {"name": "OUT-LO-QN"}]}]},
+        {"name": "SH", "children": [
+            {"name": "SH-QL", "children": [{"name": "IN-SH-QL"}, {"name": "OUT-SH-QL"}]},
+            {"name": "SH-QN", "children": [{"name": "IN-SH-QN"}, {"name": "OUT-SH-QN"}]}]}]},
+    "tdr": {"name": "COMPOSITE", "children": [
+        {"name": "QL", "children": [
+            {"name": "QL-IN", "children": [{"name": "IN-LO-QL"}, {"name": "IN-SH-QL"}]},
+            {"name": "QL-OUT", "children": [{"name": "OUT-LO-QL"}, {"name": "OUT-SH-QL"}]}]},
+        {"name": "QN", "children": [
+            {"name": "QN-IN", "children": [{"name": "IN-LO-QN"}, {"name": "IN-SH-QN"}]},
+            {"name": "QN-OUT", "children": [{"name": "OUT-LO-QN"}, {"name": "OUT-SH-QN"}]}]}]},
+}
+
+
 def make_tradelike(n: int, seed: int, density: float = 0.35, recip: float = 0.7,
                    noise: float = 0.4) -> WeightedDigraph:
     """Strongly connected weighted digraph with correlated node measures."""

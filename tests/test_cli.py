@@ -1,9 +1,13 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ccnet.cli import main
+from ccnet import BUILTIN_SCHEME_IDS
+from ccnet.cli import build_parser, main
+from ccnet.gof import DEFAULT_REPLICATES
+from ccnet.io import MEASURE_SETS
 from helpers import make_tradelike
 
 
@@ -163,3 +167,13 @@ def test_error_paths_return_two(workdir, tmp_path):
     missing = str(tmp_path / "none.csv")
     assert main(["analyze", "--edges", missing, "--threshold", "1.0",
                  "--out", str(base / "no.json")]) == 2
+
+
+def test_parser_reads_library_constants():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
+    analyze = options["analyze"]
+    assert tuple(analyze["measures"].choices) == MEASURE_SETS
+    assert analyze["replicates"].default == DEFAULT_REPLICATES
+    assert options["simulate"]["replicates"].default == DEFAULT_REPLICATES
+    assert f"({'|'.join(BUILTIN_SCHEME_IDS)})" in analyze["scheme"].help

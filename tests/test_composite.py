@@ -18,7 +18,7 @@ from ccnet import (
     scheme_to_dict,
     standardize,
 )
-from helpers import correlated_measures, make_tradelike, orthonormal_leaves
+from helpers import BUILTIN_TREES, correlated_measures, make_tradelike, orthonormal_leaves
 
 
 def std_normal_sm(name, n, seed):
@@ -211,11 +211,23 @@ class TestSchemeSerialization:
         assert loaded.leaves() == builtin_scheme("tdr").leaves()
 
     def test_malformed_schemes_rejected(self):
-        with pytest.raises(SchemeError):
-            parse_scheme({"name": "top", "children": [
-                {"name": "a"}, {"name": "b"}, {"name": "c"}]})
-        with pytest.raises(SchemeError):
-            parse_scheme({"name": "top", "children": [{"name": "a"}, {"name": "a"}]})
+        binary = "^internal node '{}' must have exactly 2 children$"
+        leaf_once = "^every leaf must be used exactly once$"
+        unique = "^scheme node names must be unique$"
+        for tree, message in [
+            ({"name": "top", "children": [{"name": "a"}, {"name": "b"}, {"name": "c"}]},
+             binary.format("top")),
+            ({"name": "top", "children": [{"name": "a"}, {"name": "a"}]}, leaf_once),
+            ({"name": "top", "children": [{"name": "a"}, {"name": "top"}]}, unique),
+            # two rules broken at once: the binary check runs first, then the leaf check
+            ({"name": "top", "children": [{"name": "a"}, {"name": "x", "children": [
+                {"name": "a"}, {"name": "b"}, {"name": "c"}]}]}, binary.format("x")),
+            ({"name": "top", "children": [
+                {"name": "top", "children": [{"name": "a"}, {"name": "b"}]}, {"name": "a"}]},
+             leaf_once),
+        ]:
+            with pytest.raises(SchemeError, match=message):
+                parse_scheme(tree)
         with pytest.raises(SchemeError):
             parse_scheme({"children": [{"name": "a"}, {"name": "b"}]})
 
@@ -223,8 +235,12 @@ class TestSchemeSerialization:
         from ccnet import BUILTIN_SCHEME_IDS
 
         assert set(BUILTIN_SCHEME_IDS) == {"drt", "rtd", "tdr"}
-        with pytest.raises(SchemeError):
+        with pytest.raises(SchemeError, match="^unknown builtin scheme 'nope'$"):
             builtin_scheme("nope")
+
+    @pytest.mark.parametrize("scheme_id", sorted(BUILTIN_TREES))
+    def test_builtin_trees_match_typed_out_trees(self, scheme_id):
+        assert scheme_to_dict(builtin_scheme(scheme_id)) == BUILTIN_TREES[scheme_id]
 
     def test_rename_leaf(self):
         scheme = builtin_scheme("drt").rename_leaf("IN-LO-QL", "EC")

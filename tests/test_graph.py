@@ -107,6 +107,13 @@ class TestThreshold:
         with pytest.raises(GraphError):
             threshold_graph(g, 0.0)
 
+    @pytest.mark.parametrize("e_th", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, e_th):
+        # inf would drop every edge and surface later as an empty LSCC
+        g = build_graph([("a", "b", 1.0)])
+        with pytest.raises(GraphError, match="finite"):
+            threshold_graph(g, e_th)
+
 
 class TestLargestScc:
     def test_cycle_is_returned_whole(self):

@@ -114,6 +114,20 @@ class TestThresholdFactors:
         with pytest.raises(ValueError):
             adjust_threshold(1.0, 0.0)
 
+    @pytest.mark.parametrize("base, factor", [
+        (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("inf")),
+    ])
+    def test_finite_required(self, base, factor):
+        with pytest.raises(ValueError, match="finite"):
+            adjust_threshold(base, factor)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_factor_file_non_finite_located(self, tmp_path, raw):
+        p = tmp_path / "f.csv"
+        p.write_text(f"year,factor\n1970,0.2\n1980,{raw}\n")
+        with pytest.raises(EdgeListError, match=r"f\.csv: line 3: factor must be positive and"):
+            load_factors(str(p))
+
     def test_factor_file(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("year,factor\n1970,0.20\n2010,1.0\n")
@@ -291,7 +305,7 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(path, 1.0, measure_set="other", replicates=2500)
 
-    def test_injected_lognormal_measures_accept(self, edges_csv):
+    def test_injected_lognormal_measures_accept(self, edges_csv, monkeypatch):
         # seeded log-normal G1 vectors through the full pipeline: the
         # composite should pass the standard-normal test in >= 80% of seeds
         path, g = edges_csv
@@ -301,10 +315,10 @@ class TestAnalyze:
         accepted = 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            override = [MeasureVector(name, rng.lognormal(0.0, 1.0, 20))
-                        for name in STANDARD_MEASURE_NAMES]
-            report = analyze(path, e_th, seed=seed, replicates=2500,
-                             g1_override=override)
+            monkeypatch.setattr(ccnet.io, "standard_measure_set", lambda lsctg: [
+                MeasureVector(name, rng.lognormal(0.0, 1.0, lsctg.n))
+                for name in STANDARD_MEASURE_NAMES])
+            report = analyze(path, e_th, seed=seed, replicates=2500)
             composite_gof = report.gof[0]
             assert composite_gof.test_name == "ks-monte-carlo:COMPOSITE"
             accepted += composite_gof.decision == "accept"
@@ -331,10 +345,3 @@ class TestAnalyze:
         e_th = float(min(w for _, _, w in g.edge_list()))
         report = replace(analyze(path, e_th, seed=0, replicates=2500), source="edges.csv")
         check_golden("report.json", report_to_json(report))
-
-    def test_override_length_checked(self, edges_csv):
-        path, _ = edges_csv
-        bad = [MeasureVector(n, np.arange(7, dtype=float))
-               for n in ("IN-LO-QL",)]
-        with pytest.raises(ValueError):
-            analyze(path, 1.0, replicates=2500, g1_override=bad)

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ccnet import (
+    AXES,
+    STANDARD_MEASURE_NAMES,
     GraphError,
     aspl,
     build_graph,
@@ -258,6 +262,11 @@ class TestStandardMeasureSet:
         assert [m.bigger_is_better for m in ms] == [
             False, True, True, True, False, True, True, True,
         ]
+
+    def test_names_come_from_the_axis_table(self):
+        assert STANDARD_MEASURE_NAMES == tuple(
+            "-".join(p) for p in itertools.product(*AXES.values()))
+        assert tuple(AXES) == ("d", "r", "t")
 
     def test_vertex_transitive_graph_gives_constants(self):
         ms = standard_measure_set(cycle_graph(["a", "b", "c"]))

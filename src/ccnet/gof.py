@@ -14,6 +14,8 @@ The decision rule accepts the standard-normal hypothesis iff p > 0.1.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,11 @@ MIN_REPLICATES = 2_500
 # Anderson-Darling case-0 (fully specified null) critical value, 10% level
 AD_CRITICAL_10PCT = 1.933
 AD_MIN_SAMPLE = 8
-# replicate chunk: ~4M draws per block, split-seeded for scheduling independence
+# replicate chunk: ~4M draws from one split seed.  It sets only the seeding
+# (which rows each seed draws, and so the table's bytes); _BLOCK sets the memory.
 _CHUNK_DRAWS = 1 << 22
+# row slab: ~64K draws (512 KB) drawn, sorted and reduced together in cache
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,46 +68,72 @@ def ks_statistic(sample) -> float:
 def _ks_rows(cdf_rows: np.ndarray) -> np.ndarray:
     """KS statistics of rows of sorted CDF values (uniform under the null).
 
-    Consumes its argument: ``cdf_rows`` is overwritten, so that a chunk needs
+    Consumes its argument: ``cdf_rows`` is overwritten, so that a slab needs
     one buffer of its size besides itself.
     """
     n = cdf_rows.shape[1]
     i = np.arange(1, n + 1)
-    upper = i / n - cdf_rows
-    np.abs(upper, out=upper)
-    lower = np.subtract(cdf_rows, (i - 1) / n, out=cdf_rows)
-    np.abs(lower, out=lower)
-    return np.max(np.maximum(upper, lower, out=upper), axis=1)
+    # i/n - u and u - (i-1)/n sum to 1/n > 0 and rounding is monotone, so the
+    # larger of the two is the larger absolute value: no abs pass is needed
+    upper = np.max(i / n - cdf_rows, axis=1)
+    lower = np.max(np.subtract(cdf_rows, (i - 1) / n, out=cdf_rows), axis=1)
+    return np.maximum(upper, lower)
 
 
-def _ks_null(n: int, replicates: int,
-             seed: int | np.random.SeedSequence) -> np.ndarray:
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def ks_null_table(n: int, replicates: int,
+                  seed: int | np.random.SeedSequence) -> np.ndarray:
     """Sorted KS statistics of ``replicates`` null samples of size ``n``, read-only.
 
     Replicate chunks of about 4M draws use split seeds, so the table does not
-    depend on how the chunks are scheduled.
+    depend on how the chunks are scheduled: a table of several chunks runs
+    them on one thread per usable core.  Each chunk draws, sorts and reduces
+    its rows in slabs of about 64K draws, so a worker holds about one slab.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
     rows_per_chunk = max(1, _CHUNK_DRAWS // n)
+    rows_per_slab = max(1, _BLOCK // n)
     n_chunks = math.ceil(replicates / rows_per_chunk)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     null = np.empty(replicates)
-    done = 0
-    for child in root.spawn(n_chunks):
-        rows = min(rows_per_chunk, replicates - done)
-        draws = np.random.default_rng(child).random((rows, n))
-        draws.sort(axis=1)
-        null[done:done + rows] = _ks_rows(draws)
-        del draws  # free the chunk before the next one is drawn
-        done += rows
+
+    def fill(k: int, child: np.random.SeedSequence) -> None:
+        # successive draws continue the chunk's stream, so the slabs hold
+        # exactly the rows of one whole-chunk draw
+        rng = np.random.default_rng(child)
+        stop = min((k + 1) * rows_per_chunk, replicates)
+        for lo in range(k * rows_per_chunk, stop, rows_per_slab):
+            hi = min(lo + rows_per_slab, stop)
+            slab = rng.random((hi - lo, n))
+            slab.sort(axis=1)
+            null[lo:hi] = _ks_rows(slab)
+
+    children = root.spawn(n_chunks)
+    workers = min(n_chunks, _usable_cores())
+    if workers == 1:
+        for k, child in enumerate(children):
+            fill(k, child)
+    else:
+        # the draw, the sort and the ufuncs release the GIL; each chunk
+        # writes only its own slice of the table.  Reading every result
+        # raises a worker's error here.
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, range(n_chunks), children))
     null.sort()
     null.flags.writeable = False
     return null
 
 
-def _ks_rank(observed: float, null: np.ndarray, seed: int | None) -> GoFReport:
-    """Rank an observed KS statistic against a ``_ks_null`` table of its size.
+def ks_rank(observed: float, null: np.ndarray, seed: int | None) -> GoFReport:
+    """Rank an observed KS statistic against a ``ks_null_table`` of its size.
 
     p is the fraction of null statistics >= the observed one (the >= makes
     the estimate conservative).
@@ -129,9 +160,9 @@ def ks_p_value(sample, replicates: int = DEFAULT_REPLICATES,
     ``gof_vs_n_study``) draw the table once and rank every sample against it.
     """
     observed = ks_statistic(sample)
-    null = _ks_null(len(sample), replicates, seed)
-    return _ks_rank(observed, null,
-                    None if isinstance(seed, np.random.SeedSequence) else int(seed))
+    null = ks_null_table(len(sample), replicates, seed)
+    return ks_rank(observed, null,
+                   None if isinstance(seed, np.random.SeedSequence) else int(seed))
 
 
 def anderson_darling(sample) -> GoFReport:

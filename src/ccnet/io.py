@@ -30,9 +30,9 @@ from .gof import (
     AD_MIN_SAMPLE,
     DEFAULT_REPLICATES,
     GoFReport,
-    _ks_null,
-    _ks_rank,
     anderson_darling,
+    ks_null_table,
+    ks_rank,
     ks_statistic,
 )
 from .graph import GraphError, GraphSummary, _check_edge, build_graph, largest_scc, threshold_graph
@@ -179,12 +179,12 @@ def analyze(edges_path: str,
                          "standardisation needs spread")
 
     # one KS null table for every test below: all samples have lsctg.n values
-    null = _ks_null(lsctg.n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    null = ks_null_table(lsctg.n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
     g1 = [standardize(m) for m in raw]
     replaced: str | None = None
     if measure_set == "alt":
-        p_values = [_ks_rank(ks_statistic(m.values), null, seed).p_value for m in g1]
+        p_values = [ks_rank(ks_statistic(m.values), null, seed).p_value for m in g1]
         worst = int(np.argmin(p_values))
         replaced = raw[worst].name
         raw[worst] = eigenvector_centrality(lsctg)
@@ -193,7 +193,7 @@ def analyze(edges_path: str,
 
     generations = run_scheme(scheme_obj, g1)
 
-    gof = [_named(_ks_rank(ks_statistic(node.values), null, seed), node.name)
+    gof = [_named(ks_rank(ks_statistic(node.values), null, seed), node.name)
            for node in _report_order(generations)]
     root = generations.root()
     gof.append(_named(anderson_darling(root.values), root.name))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .composite import combine_set
-from .gof import DEFAULT_REPLICATES, _ks_null, _ks_rank, ks_statistic
+from .gof import DEFAULT_REPLICATES, ks_null_table, ks_rank, ks_statistic
 from .measures import MeasureVector
 from .standardize import standardize
 
@@ -179,7 +179,7 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
         # the first sample comes before the table, so a size the sampler
         # rejects fails before the table is drawn
         first = draw(n, 0)
-        null = _ks_null(n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+        null = ks_null_table(n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
         comp_stats = np.empty(stat_realizations)
         null_stats = np.empty(stat_realizations)
         p_values = np.empty(p_realizations)
@@ -192,7 +192,7 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
                 ).standard_normal(n)
                 null_stats[r] = ks_statistic(null_draw)
             if r < p_realizations:
-                p_values[r] = _ks_rank(observed, null, seed).p_value
+                p_values[r] = ks_rank(observed, null, seed).p_value
         rows.append(SizeResult(
             size=n,
             **_band("p", p_values),

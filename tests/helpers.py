@@ -226,3 +226,13 @@ def fit_lambda_oracle(xs: np.ndarray) -> float:
             d = a + invphi * (b - a)
             fd = box_cox_loglik_oracle(xs, d)
     return float((a + b) / 2.0)
+
+
+def ks_rows_oracle(cdf_rows: np.ndarray) -> np.ndarray:
+    """KS statistics of rows of sorted CDF values, with both absolute values
+    taken, as the kernel computed them before it dropped the abs passes."""
+    n = cdf_rows.shape[1]
+    i = np.arange(1, n + 1)
+    upper = np.abs(i / n - cdf_rows)
+    lower = np.abs(cdf_rows - (i - 1) / n)
+    return np.max(np.maximum(upper, lower), axis=1)

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import ndtr
 
+import ccnet.gof
 from ccnet import AD_CRITICAL_10PCT, anderson_darling, ks_p_value, ks_statistic
-from ccnet.gof import _CHUNK_DRAWS, _ks_null
+from ccnet.gof import _CHUNK_DRAWS, _ks_rows, ks_null_table
+from helpers import ks_rows_oracle
+
+# seeded and without an example database, so every run tries the same cases
+PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 
 class TestKsStatistic:
@@ -49,6 +57,25 @@ class TestKsStatistic:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([0.0, 1.0, np.nan, 2.0, 3.0]))
+
+    @PROPERTY
+    @given(arrays(np.float64, st.integers(5, 60),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_equals_scipy_kstest_bit_for_bit(self, x):
+        assert ks_statistic(x) == stats.kstest(x, "norm").statistic
+
+
+class TestKsRows:
+    @PROPERTY
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 40)),
+                  elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                     st.floats(0.0, 1.0))))
+    def test_equals_abs_reference(self, cdf_rows):
+        # sorted rows in [0, 1] with ties and exact 0 and 1: dropping the
+        # abs passes must not move a bit
+        cdf_rows.sort(axis=1)
+        expected = ks_rows_oracle(cdf_rows)
+        assert np.array_equal(_ks_rows(cdf_rows.copy()), expected)
 
 
 class TestKsPValue:
@@ -124,7 +151,7 @@ class TestKsPValue:
     def test_is_one_table_ranked(self):
         # build-then-rank: p counts the table's statistics >= the observed one
         x = np.random.default_rng(8).standard_normal(60)
-        null = _ks_null(60, 2500, 5)
+        null = ks_null_table(60, 2500, 5)
         rep = ks_p_value(x, 2500, seed=5)
         assert rep.p_value == np.count_nonzero(null >= rep.statistic) / 2500
         assert rep.replicates == 2500 and rep.seed == 5
@@ -136,41 +163,80 @@ class TestKsNull:
         # Dvoretzky-Kiefer-Wolfowitz bound at level 1e-6 on the table's
         # empirical CDF against the exact distribution, read at 199 quantiles
         b = 10_000
-        null = _ks_null(n, b, seed=3)
+        null = ks_null_table(n, b, seed=3)
         probs = np.linspace(0.005, 0.995, 199)
         ecdf = np.searchsorted(null, stats.kstwo.ppf(probs, n), "right") / b
         assert np.max(np.abs(ecdf - probs)) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * b))
 
     def test_sorted_read_only_and_seeded(self):
-        null = _ks_null(30, 2500, seed=9)
+        null = ks_null_table(30, 2500, seed=9)
         assert null.shape == (2500,)
         assert np.all(np.diff(null) >= 0.0)
         assert not null.flags.writeable
-        assert np.array_equal(null, _ks_null(30, 2500, np.random.SeedSequence(9)))
-        assert not np.array_equal(null, _ks_null(30, 2500, seed=10))
+        assert np.array_equal(null, ks_null_table(30, 2500, np.random.SeedSequence(9)))
+        assert not np.array_equal(null, ks_null_table(30, 2500, seed=10))
 
     def test_partial_last_chunk_is_filled(self):
         # at n = 5000 a chunk holds 838 rows, so 2500 replicates take two full
         # chunks and a partial one; every entry must be a KS statistic, and
         # any sample of size n has D >= 1/(2n)
         n = 5000
-        null = _ks_null(n, 2500, seed=0)
+        null = ks_null_table(n, 2500, seed=0)
         assert null.size == 2500
         assert 1.0 / (2 * n) <= null[0] and null[-1] <= 1.0
 
 
     def test_table_matches_per_row_reference(self):
         # same chunk seeding, one row at a time without the in-place kernel;
-        # n = 5000 takes two full chunks and a partial one
-        n, b = 5000, 2500
-        per_chunk = _CHUNK_DRAWS // n
-        i = np.arange(1, n + 1)
-        expected = []
-        for k, child in enumerate(np.random.SeedSequence(4).spawn(math.ceil(b / per_chunk))):
-            for row in np.random.default_rng(child).random((min(per_chunk, b - k * per_chunk), n)):
-                u = np.sort(row)
-                expected.append(max(np.max(np.abs(i / n - u)), np.max(np.abs(u - (i - 1) / n))))
-        assert np.array_equal(_ks_null(n, b, seed=4), np.sort(expected))
+        # n = 5000 takes two full chunks and a partial one, n = 10^4 takes
+        # five chunks of 419 rows and a last one of 405
+        b = 2500
+        for n in (5000, 10_000):
+            per_chunk = _CHUNK_DRAWS // n
+            i = np.arange(1, n + 1)
+            expected = []
+            for k, child in enumerate(np.random.SeedSequence(4).spawn(math.ceil(b / per_chunk))):
+                for row in np.random.default_rng(child).random((min(per_chunk, b - k * per_chunk), n)):
+                    u = np.sort(row)
+                    expected.append(max(np.max(np.abs(i / n - u)), np.max(np.abs(u - (i - 1) / n))))
+            assert np.array_equal(ks_null_table(n, b, seed=4), np.sort(expected))
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_table_independent_of_worker_count(self, monkeypatch, cores):
+        # six chunks at n = 10^4; every worker count draws the same table and
+        # builds no more workers than chunks or cores
+        n, b = 10_000, 2500
+        reference = ks_null_table(n, b, seed=5)
+        built = []
+
+        class Recording(ccnet.gof.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(ccnet.gof, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(ccnet.gof, "ThreadPoolExecutor", Recording)
+        assert np.array_equal(ks_null_table(n, b, seed=5), reference)
+        assert built == ([] if cores == 1 else [cores])
+
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["one-row", "seven-rows", "whole-chunk"])
+    def test_table_independent_of_slab_size(self, monkeypatch, rows):
+        # n = 3000 takes two chunks of 1398 rows; a slab of 7 rows leaves a
+        # partial slab at the end of each chunk
+        n, b = 3000, 2500
+        reference = ks_null_table(n, b, seed=6)
+        monkeypatch.setattr(ccnet.gof, "_BLOCK", _CHUNK_DRAWS if rows is None else rows * n)
+        assert np.array_equal(ks_null_table(n, b, seed=6), reference)
+
+    def test_one_chunk_table_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("built an executor for a one-chunk table")
+
+        monkeypatch.setattr(ccnet.gof, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(ccnet.gof, "_usable_cores", lambda: 4)
+        # 1677 * 2500 draws is the largest one-chunk table at B = 2500
+        assert ks_null_table(1677, 2500, seed=7).size == 2500
+        assert ks_null_table(20, 10_000, seed=7).size == 10_000
 
 
 class TestAndersonDarling:

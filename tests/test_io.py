@@ -16,7 +16,7 @@ from ccnet import (
     report_from_json,
     report_to_json,
 )
-from ccnet.gof import _ks_null
+from ccnet.gof import ks_null_table
 from helpers import check_golden, make_tradelike
 
 
@@ -207,9 +207,9 @@ class TestAnalyze:
 
         def counted(n, replicates, seed):
             tables.append((n, replicates))
-            return _ks_null(n, replicates, seed)
+            return ks_null_table(n, replicates, seed)
 
-        monkeypatch.setattr(ccnet.io, "_ks_null", counted)
+        monkeypatch.setattr(ccnet.io, "ks_null_table", counted)
         path, g = edges_csv
         e_th = float(min(w for _, _, w in g.edge_list()))
         report = analyze(path, e_th, scheme=scheme, measure_set=measure_set,
@@ -218,7 +218,7 @@ class TestAnalyze:
         assert tables == [(n, 2500)]
         # each p counts the statistics >= the node's own, in the table
         # rebuilt from the analysis seed
-        null = _ks_null(n, 2500, np.random.SeedSequence(entropy=4, spawn_key=(0,)))
+        null = ks_null_table(n, 2500, np.random.SeedSequence(entropy=4, spawn_key=(0,)))
         nodes = {node.name: node.values for node in report.generations.nodes}
         ks = [r for r in report.gof if r.test_name.startswith("ks-monte-carlo:")]
         assert len(ks) == len(nodes)
@@ -235,7 +235,7 @@ class TestAnalyze:
         e_th = float(min(w for _, _, w in g.edge_list()))
         report = analyze(path, e_th, measure_set="alt", seed=6, replicates=2500)
         n = len(report.labels)
-        null = _ks_null(n, 2500, np.random.SeedSequence(entropy=6, spawn_key=(0,)))
+        null = ks_null_table(n, 2500, np.random.SeedSequence(entropy=6, spawn_key=(0,)))
         raw = ccnet.standard_measure_set(ccnet.largest_scc(ccnet.threshold_graph(
             ccnet.build_graph(parse_edge_list(path)), e_th)))
         p = [np.count_nonzero(null >= ccnet.ks_statistic(ccnet.standardize(m).values))
@@ -293,7 +293,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(ccnet.io, "summarize", never)
         monkeypatch.setattr(ccnet.io, "standard_measure_set", never)
-        monkeypatch.setattr(ccnet.io, "_ks_null", never)
+        monkeypatch.setattr(ccnet.io, "ks_null_table", never)
         g = make_tradelike(6, 0)
         path = _write_edges(tmp_path / "e.csv", g)
         e_th = float(min(w for _, _, w in g.edge_list()))
@@ -328,7 +328,7 @@ class TestAnalyze:
         def no_draw(*args):
             raise AssertionError("drew the KS null table before checking the measures")
 
-        monkeypatch.setattr(ccnet.io, "_ks_null", no_draw)
+        monkeypatch.setattr(ccnet.io, "ks_null_table", no_draw)
         complete = [(f"v{i}", f"v{j}", 1.0) for i in range(8) for j in range(8) if i != j]
         ring = [(f"v{i}", f"v{(i + 1) % 8}", float(i + 1)) for i in range(8)]
         for edges, names in ((complete, ccnet.STANDARD_MEASURE_NAMES),

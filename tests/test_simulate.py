@@ -14,7 +14,7 @@ from ccnet import (
     study_to_csv,
     study_to_json,
 )
-from ccnet.gof import _ks_null
+from ccnet.gof import ks_null_table
 
 
 class TestSampleArb:
@@ -84,9 +84,9 @@ class TestStudy:
 
         def counted(n, replicates, seed):
             tables.append(n)
-            return _ks_null(n, replicates, seed)
+            return ks_null_table(n, replicates, seed)
 
-        monkeypatch.setattr(ccnet.simulate, "_ks_null", counted)
+        monkeypatch.setattr(ccnet.simulate, "ks_null_table", counted)
         study = gof_vs_n_study(sizes=(50, 100), p_realizations=3, stat_realizations=4,
                                replicates=2500, seed=12)
         assert tables == [50, 100]
@@ -94,7 +94,7 @@ class TestStudy:
         # from the key (size,)
         for row in study.rows:
             n = row.size
-            null = _ks_null(n, 2500, np.random.SeedSequence(entropy=12, spawn_key=(n,)))
+            null = ks_null_table(n, 2500, np.random.SeedSequence(entropy=12, spawn_key=(n,)))
             ps = []
             for r in range(3):
                 scores = composite_scores(sample_arb(
@@ -154,7 +154,7 @@ class TestStudy:
         def no_draw(*args):
             raise AssertionError("drew a null table before checking the arguments")
 
-        monkeypatch.setattr(ccnet.simulate, "_ks_null", no_draw)
+        monkeypatch.setattr(ccnet.simulate, "ks_null_table", no_draw)
         args = {"sizes": (100,), "p_realizations": 2, "stat_realizations": 4,
                 "replicates": 2500, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=f"^{message}"):

@@ -119,6 +119,9 @@ def ks_null_table(n: int, replicates: int,
     children = root.spawn(n_chunks)
     workers = min(n_chunks, _usable_cores())
     if workers == 1:
+        # on the calling thread: on a 2-core host a one-worker pool for the
+        # one-chunk tables analyze draws raised peak RSS by about 1.5 MB and
+        # the median analyze round's time by 9-16%
         for k, child in enumerate(children):
             fill(k, child)
     else:

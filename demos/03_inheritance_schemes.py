@@ -20,7 +20,7 @@ from ccnet import (
     run_scheme,
     scheme_invariance,
     scheme_to_dict,
-    standardize,
+    standardize_set,
 )
 
 rng = np.random.default_rng(3)
@@ -30,7 +30,7 @@ n = 200
 factor = rng.standard_normal(n)
 raw = [MeasureVector(name, np.exp(0.5 * (0.97 * factor + 0.24 * rng.standard_normal(n))))
        for name in STANDARD_MEASURE_NAMES]
-sm = [standardize(m) for m in raw]
+sm = standardize_set(raw)
 
 schemes = [builtin_scheme(s) for s in ("drt", "rtd", "tdr")]
 flat = combine_set(sm)

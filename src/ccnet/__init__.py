@@ -51,6 +51,7 @@ from .standardize import (
     invert,
     skewness,
     standardize,
+    standardize_set,
 )
 from .composite import (
     BUILTIN_SCHEME_IDS,

@@ -37,7 +37,7 @@ from .gof import (
 )
 from .graph import GraphError, GraphSummary, _check_edge, build_graph, largest_scc, threshold_graph
 from .measures import MeasureVector, eigenvector_centrality, standard_measure_set, summarize
-from .standardize import standardize
+from .standardize import standardize, standardize_set
 
 MEASURE_SETS = ("sf", "alt")
 # documented default edge threshold for trade-style (currency-denominated)
@@ -181,7 +181,7 @@ def analyze(edges_path: str,
     # one KS null table for every test below: all samples have lsctg.n values
     null = ks_null_table(lsctg.n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
-    g1 = [standardize(m) for m in raw]
+    g1 = standardize_set(raw)
     replaced: str | None = None
     if measure_set == "alt":
         p_values = [ks_rank(ks_statistic(m.values), null, seed).p_value for m in g1]

@@ -22,7 +22,7 @@ import numpy as np
 from .composite import combine_set
 from .gof import DEFAULT_REPLICATES, ks_null_table, ks_rank, ks_statistic
 from .measures import MeasureVector
-from .standardize import standardize
+from .standardize import standardize_set
 
 _Z95 = 1.96
 
@@ -128,8 +128,8 @@ def sample_standard_normal_set(n: int,
 
 
 def composite_scores(measures: Sequence[MeasureVector]) -> np.ndarray:
-    """Standardise each measure and combine the set flat."""
-    return combine_set([standardize(m) for m in measures]).values
+    """Standardise the measures as one set and combine them flat."""
+    return combine_set(standardize_set(measures)).values
 
 
 def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),

@@ -10,11 +10,14 @@ The recipe, applied to a positive-valued raw measure:
 3. divide by the sample standard deviation (Bessel, n-1);
 4. negate when the measure's convention is smaller-is-better.
 
-Every parameter is recorded so the chain inverts exactly.
+Every parameter is recorded so the chain inverts exactly.  ``standardize_set``
+runs the recipe on a set of equal-length measures at once, fitting all their
+exponents in one lock-step pass; ``standardize`` is its one-measure call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +107,8 @@ def box_cox_loglik(xs, lam: float) -> float:
     (lam - 1) * sum(ln x_i) - (n/2) * ln( sum((x~_i - mean(x~))^2) / n ), where
     x~ = box_cox(x, lam).  Overflowing exponents yield -inf.
     """
-    logx = _log_sample(xs)
-    return float(_loglik(logx, np.sum(logx), np.array([lam], dtype=float))[0])
+    logx = _log_sample(xs)[None]
+    return float(_loglik(logx, np.sum(logx, axis=1), np.array([lam], dtype=float))[0, 0])
 
 
 def fit_lambda(xs) -> float:
@@ -113,36 +116,49 @@ def fit_lambda(xs) -> float:
 
     A 0.1-step grid scan locates the peak (ties resolved towards the smallest
     exponent), then golden-section refinement narrows the bracket.  Robust
-    against the flat likelihoods of near-symmetric samples.  The grid is
-    evaluated in row blocks of about ``_GRID_BUDGET`` elements.
+    against the flat likelihoods of near-symmetric samples.  A one-row
+    ``_fit_lambdas`` call.
     """
-    logx = _log_sample(xs)
-    slog = np.sum(logx)
+    return float(_fit_lambdas(_log_sample(xs)[None])[0])
+
+
+def _fit_lambdas(logx: np.ndarray) -> np.ndarray:
+    """``fit_lambda`` of every row of x, given as ln x (m, n), in one lock-step pass.
+
+    The grid is evaluated for all rows at once, in blocks of about
+    ``_GRID_BUDGET`` elements over the whole set; the golden-section steps
+    then run in lock step, each row's bracket updated in float64 exactly as a
+    scalar search would, until every bracket is narrower than ``LAMBDA_TOL``.
+    A row whose bracket is done first is masked out of the remaining
+    updates; its probe is still evaluated with the others', so each step
+    stays one (m, 1, n) array with no row copies.
+    """
+    m, n = logx.shape
+    slog = np.sum(logx, axis=1)
     grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _GRID_STEP / 2, _GRID_STEP)
-    rows = max(1, _GRID_BUDGET // logx.size)
+    rows = max(1, _GRID_BUDGET // (m * n))
     vals = np.concatenate([_loglik(logx, slog, grid[i:i + rows])
-                           for i in range(0, grid.size, rows)])
-    k = int(np.argmax(vals))  # argmax takes the first (smallest) maximiser
+                           for i in range(0, grid.size, rows)], axis=1)
+    peak = grid[np.argmax(vals, axis=1)]  # argmax takes the first (smallest) maximiser
 
-    def f(lam: float) -> float:
-        return float(_loglik(logx, slog, np.array([lam]))[0])
-
-    a = max(LAMBDA_MIN, float(grid[k]) - _GRID_STEP)
-    b = min(LAMBDA_MAX, float(grid[k]) + _GRID_STEP)
+    a = np.maximum(LAMBDA_MIN, peak - _GRID_STEP)
+    b = np.minimum(LAMBDA_MAX, peak + _GRID_STEP)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while b - a > LAMBDA_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return float((a + b) / 2.0)
+    fc = _loglik(logx, slog, c[:, None])[:, 0]
+    fd = _loglik(logx, slog, d[:, None])[:, 0]
+    live = b - a > LAMBDA_TOL
+    while live.any():
+        left = fc >= fd  # the peak lies in [a, d]: c becomes the new d
+        lo, hi = live & left, live & ~left
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f = _loglik(logx, slog, probe[:, None])[:, 0]
+        c[lo], fc[lo] = probe[lo], f[lo]
+        d[hi], fd[hi] = probe[hi], f[hi]
+        live = b - a > LAMBDA_TOL
+    return (a + b) / 2.0
 
 
 def _log_sample(xs) -> np.ndarray:
@@ -152,23 +168,38 @@ def _log_sample(xs) -> np.ndarray:
     return box_cox(xs, 0.0)
 
 
-def _loglik(logx: np.ndarray, slog: float, lams: np.ndarray) -> np.ndarray:
-    """Profile log-likelihoods at each exponent in ``lams`` from one (lams, n) array.
+def _box_cox_rows(logx: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """box_cox of each row of x, given as ln x (m, n), at each of its exponents.
 
-    ``logx`` is ln x and ``slog`` its sum.  Row by row the arithmetic is that
-    of ``box_cox`` (the lam = 0 row is ln x itself), so every value matches a
-    scalar evaluation bit for bit; non-finite values become -inf.
+    ``lams`` is broadcastable to (m, r); the result is one (m, r, n) array.
+    Element by element the arithmetic is that of ``box_cox`` (the lam = 0
+    rows are ln x itself), so every value matches a scalar call bit for bit.
     """
-    n = logx.size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = np.multiply.outer(lams, logx)
+        t = lams[..., None] * logx[:, None, :]
         np.expm1(t, out=t)
-        t /= lams[:, None]
-        t[lams == 0.0] = logx
-        t -= t.mean(axis=1, keepdims=True)
+        t /= lams[..., None]
+    zero = lams == 0.0
+    if zero.any():
+        np.copyto(t, logx[:, None, :], where=zero[..., None])
+    return t
+
+
+def _loglik(logx: np.ndarray, slog: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Profile log-likelihoods of each row of x at each of its exponents, (m, r).
+
+    ``logx`` is ln x (m, n), ``slog`` its row sums and ``lams`` the exponents,
+    broadcastable to (m, r).  Means and sums run along the contiguous last
+    axis, so every value matches a one-exponent evaluation bit for bit;
+    non-finite values become -inf.
+    """
+    n = logx.shape[1]
+    t = _box_cox_rows(logx, lams)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t -= t.mean(axis=2, keepdims=True)
         np.square(t, out=t)
-        var = np.sum(t, axis=1) / n
-        ll = (lams - 1.0) * slog - 0.5 * n * np.log(var)
+        var = np.sum(t, axis=2) / n
+        ll = (lams - 1.0) * slog[:, None] - 0.5 * n * np.log(var)
     ll[~np.isfinite(ll)] = -np.inf
     return ll
 
@@ -177,12 +208,18 @@ def skewness(xs) -> float:
     """Adjusted Fisher-Pearson sample skewness, g1 * sqrt(n(n-1)) / (n-2)."""
     xs = np.asarray(xs, dtype=float)
     _check_sample(xs)
-    n = xs.size
-    dev = xs - xs.mean()
-    m2 = np.mean(dev**2)
-    m3 = np.mean(dev**3)
-    g1 = m3 / m2**1.5
-    return float(g1 * np.sqrt(n * (n - 1.0)) / (n - 2.0))
+    return float(_skewness_rows(xs.reshape(1, -1))[0])
+
+
+def _skewness_rows(x: np.ndarray) -> np.ndarray:
+    """``skewness`` of each row of an (m, n) array."""
+    n = x.shape[1]
+    dev = x - x.mean(axis=1, keepdims=True)
+    m2 = np.mean(dev**2, axis=1)
+    m3 = np.mean(dev**3, axis=1)
+    # scalar powers: numpy's vector pow may round differently in the last bit
+    g1 = m3 / np.array([v**1.5 for v in m2])
+    return g1 * np.sqrt(n * (n - 1.0)) / (n - 2.0)
 
 
 def standardize(measure: MeasureVector) -> StandardizedMeasure:
@@ -191,50 +228,69 @@ def standardize(measure: MeasureVector) -> StandardizedMeasure:
     Output has sample mean 0 and standard deviation 1; smaller-is-better
     measures come out negated so that bigger is always better.  Approximate
     uni-modality of the raw values is a caller obligation, not enforced.
+    A one-measure ``standardize_set`` call.
     """
-    x = np.asarray(measure.values, dtype=float)
-    try:
-        _check_sample(x)
-    except DegenerateSampleError as exc:
-        raise DegenerateSampleError(f"measure {measure.name!r}: {exc}") from None
+    return standardize_set([measure])[0]
 
-    pre_shift = 0.0
-    lo = x.min()
-    if lo <= 0.0:
-        pre_shift = float(-lo + _SHIFT_MARGIN * (x.max() - lo))
-        x = x + pre_shift
 
-    mean_scale = float(x.mean())
-    y = x / mean_scale
+def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasure]:
+    """Run the standardisation recipe on a set of equal-length raw measures.
 
-    lam = fit_lambda(y)
-    transformed = box_cox(y, lam)
-    used_lambda: float | None = None
-    z = y
-    if abs(skewness(transformed)) < abs(skewness(y)):
-        z = transformed
-        used_lambda = lam
+    The set is one (m, n) array: pre-shift, mean scale, Box-Cox fit,
+    skewness test and final moments each run on all rows at once, and the
+    exponents are fitted in one lock-step pass.  Row by row the arithmetic
+    is the one-measure recipe's, so each result equals ``standardize`` of
+    that measure bit for bit.  An empty set, unequal lengths, and a constant
+    or too-short measure (the first in order) are rejected before any fit.
+    """
+    measures = list(measures)
+    if not measures:
+        raise ValueError("standardize_set needs at least one measure")
+    n = measures[0].values.size
+    for m in measures[1:]:
+        if m.values.size != n:
+            raise ValueError(f"measures must have equal lengths: {measures[0].name!r} has "
+                             f"{n} values, {m.name!r} has {m.values.size}")
+    # work in place where the arithmetic allows: y holds the raw, then the
+    # shifted, then the mean-one rows, and z the transformed, then the output
+    # rows; at n = 10^4 each extra (m, n) array adds to peak memory
+    y = np.array([m.values for m in measures], dtype=float)
+    _check_sample(y, [m.name for m in measures])
 
-    post_mean = float(z.mean())
-    z = z - post_mean
-    post_std = float(z.std(ddof=1))
-    if post_std == 0.0:
-        raise DegenerateSampleError(f"measure {measure.name!r} is constant")
-    z = z / post_std
+    lo = y.min(axis=1)
+    pre_shift = np.where(lo <= 0.0, -lo + _SHIFT_MARGIN * (y.max(axis=1) - lo), 0.0)
+    y += pre_shift[:, None]  # adding 0.0 leaves an unshifted, positive row as it is
+    mean_scale = y.mean(axis=1)
+    y /= mean_scale[:, None]
 
-    flipped = not measure.bigger_is_better
-    if flipped:
-        z = -z
+    logy = box_cox(y, 0.0)
+    lams = _fit_lambdas(logy)
+    z = _box_cox_rows(logy, lams[:, None])[:, 0]
+    del logy
+    keep = np.abs(_skewness_rows(z)) < np.abs(_skewness_rows(y))
+    z[~keep] = y[~keep]
 
-    params = TransformParams(
-        pre_shift=pre_shift,
-        mean_scale=mean_scale,
-        box_cox_lambda=used_lambda,
-        post_mean=post_mean,
-        post_std=post_std,
-        flipped=flipped,
-    )
-    return StandardizedMeasure(measure.name, z, params)
+    post_mean = z.mean(axis=1)
+    z -= post_mean[:, None]
+    post_std = z.std(axis=1, ddof=1)
+    if np.any(post_std == 0.0):
+        name = measures[int(np.argmax(post_std == 0.0))].name
+        raise DegenerateSampleError(f"measure {name!r} is constant")
+    z /= post_std[:, None]
+
+    out = []
+    for i, m in enumerate(measures):
+        flipped = not m.bigger_is_better
+        params = TransformParams(
+            pre_shift=float(pre_shift[i]),
+            mean_scale=float(mean_scale[i]),
+            box_cox_lambda=float(lams[i]) if keep[i] else None,
+            post_mean=float(post_mean[i]),
+            post_std=float(post_std[i]),
+            flipped=flipped,
+        )
+        out.append(StandardizedMeasure(m.name, -z[i] if flipped else z[i], params))
+    return out
 
 
 def invert(sm: StandardizedMeasure) -> MeasureVector:
@@ -252,8 +308,19 @@ def invert(sm: StandardizedMeasure) -> MeasureVector:
     return MeasureVector(sm.name, v, bigger_is_better=not p.flipped)
 
 
-def _check_sample(xs: np.ndarray) -> None:
-    if xs.size < 3:
-        raise DegenerateSampleError(f"need at least 3 values, got {xs.size}")
-    if np.all(xs == xs.flat[0]):
-        raise DegenerateSampleError("sample is constant")
+def _check_sample(xs: np.ndarray, names: Sequence[str] | None = None) -> None:
+    """Reject a sample that is too short or constant.
+
+    With ``names`` each row of ``xs`` is one sample, and the message names
+    the measure of the first row at fault.
+    """
+    rows = xs if names is not None else xs.reshape(1, -1)
+    n = rows.shape[1]
+    if n < 3:
+        bad, reason = 0, f"need at least 3 values, got {n}"
+    else:
+        constant = np.all(rows == rows[:, :1], axis=1)
+        if not constant.any():
+            return
+        bad, reason = int(np.argmax(constant)), "sample is constant"
+    raise DegenerateSampleError(reason if names is None else f"measure {names[bad]!r}: {reason}")

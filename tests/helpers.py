@@ -5,7 +5,7 @@ edge presence and weight), which keeps the eight standard measures strongly
 correlated, as in the real networks this machinery targets.  The oracles are
 deliberately naive: boolean-closure reachability for components, exhaustive
 cut enumeration for max flow, one scalar likelihood call per exponent for the
-Box-Cox fit.
+Box-Cox fit, one measure at a time for standardisation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ccnet import MeasureVector, StandardizedMeasure, WeightedDigraph
+from ccnet import (
+    DegenerateSampleError,
+    MeasureVector,
+    StandardizedMeasure,
+    TransformParams,
+    WeightedDigraph,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -226,6 +232,49 @@ def fit_lambda_oracle(xs: np.ndarray) -> float:
             d = a + invphi * (b - a)
             fd = box_cox_loglik_oracle(xs, d)
     return float((a + b) / 2.0)
+
+
+def skewness_oracle(xs: np.ndarray) -> float:
+    """Adjusted Fisher-Pearson sample skewness of one sample, scalar moments."""
+    n = xs.size
+    dev = xs - xs.mean()
+    m2 = np.mean(dev**2)
+    m3 = np.mean(dev**3)
+    return float(m3 / m2**1.5 * np.sqrt(n * (n - 1.0)) / (n - 2.0))
+
+
+def standardize_oracle(measure: MeasureVector) -> StandardizedMeasure:
+    """The standardisation recipe on one measure, as it ran before measure
+    sets were fitted together: pre-shift, mean scale, ``fit_lambda_oracle``,
+    keep the transform only if it lowers |skewness|, then the moments."""
+    x = np.asarray(measure.values, dtype=float)
+    if x.size < 3:
+        raise DegenerateSampleError(f"measure {measure.name!r}: need at least 3 values, got {x.size}")
+    if np.all(x == x[0]):
+        raise DegenerateSampleError(f"measure {measure.name!r}: sample is constant")
+    pre_shift = 0.0
+    lo = x.min()
+    if lo <= 0.0:
+        pre_shift = float(-lo + 1e-6 * (x.max() - lo))
+        x = x + pre_shift
+    mean_scale = float(x.mean())
+    y = x / mean_scale
+    lam = fit_lambda_oracle(y)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.log(y) if lam == 0.0 else np.expm1(lam * np.log(y)) / lam
+    used = None
+    z = y
+    if abs(skewness_oracle(t)) < abs(skewness_oracle(y)):
+        z, used = t, lam
+    post_mean = float(z.mean())
+    z = z - post_mean
+    post_std = float(z.std(ddof=1))
+    if post_std == 0.0:
+        raise DegenerateSampleError(f"measure {measure.name!r} is constant")
+    z = z / post_std
+    flipped = not measure.bigger_is_better
+    params = TransformParams(pre_shift, mean_scale, used, post_mean, post_std, flipped)
+    return StandardizedMeasure(measure.name, -z if flipped else z, params)
 
 
 def ks_rows_oracle(cdf_rows: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -200,6 +201,24 @@ class TestAnalyze:
             assert sorted(pairs) == [(s, t) for s in range(n) for t in range(n) if s != t]
             assert counts == {"hops": 1}
 
+    @pytest.mark.parametrize("measure_set, rows", [("sf", [8]), ("alt", [8, 1])])
+    def test_one_set_fit_per_analysis(self, edges_csv, monkeypatch, measure_set, rows):
+        # the package's ``standardize`` attribute is the function, not the module
+        std = importlib.import_module("ccnet.standardize")
+        _fit_lambdas = std._fit_lambdas
+        fits = []
+
+        def fit(logx):
+            fits.append(logx.shape[0])
+            return _fit_lambdas(logx)
+
+        monkeypatch.setattr(std, "_fit_lambdas", fit)
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        analyze(path, e_th, measure_set=measure_set, seed=0, replicates=2500)
+        # the G1 set in one lock-step fit, then eigenvector centrality alone
+        assert fits == rows
+
     @pytest.mark.parametrize("scheme, measure_set", [("drt", "sf"), ("rtd", "alt")])
     def test_one_null_table_ranks_every_ks_test(self, edges_csv, monkeypatch,
                                                  scheme, measure_set):
@@ -249,7 +268,12 @@ class TestAnalyze:
             names.append(measure.name)
             return ccnet.standardize(measure)
 
+        def counted_set(measures):
+            names.extend(m.name for m in measures)
+            return ccnet.standardize_set(measures)
+
         monkeypatch.setattr(ccnet.io, "standardize", counted)
+        monkeypatch.setattr(ccnet.io, "standardize_set", counted_set)
         path, g = edges_csv
         e_th = float(min(w for _, _, w in g.edge_list()))
         analyze(path, e_th, scheme="rtd", measure_set="alt", seed=0, replicates=2500)

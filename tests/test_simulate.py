@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,22 @@ class TestStudy:
                     ArbMeasureSpec(), n, np.random.SeedSequence(entropy=12, spawn_key=(n, r, 0))))
                 ps.append(np.count_nonzero(null >= ks_statistic(scores)) / 2500)
             assert row.p_mean == float(np.mean(ps))
+
+    def test_one_set_fit_per_composite(self, monkeypatch):
+        # the package's ``standardize`` attribute is the function, not the module
+        std = importlib.import_module("ccnet.standardize")
+        _fit_lambdas = std._fit_lambdas
+        fits = []
+
+        def fit(logx):
+            fits.append(logx.shape)
+            return _fit_lambdas(logx)
+
+        monkeypatch.setattr(std, "_fit_lambdas", fit)
+        gof_vs_n_study(sizes=(20, 30), p_realizations=2, stat_realizations=3,
+                       replicates=2500, seed=4)
+        # three composites per size, each fitting its five measures in one pass
+        assert fits == [(5, 20)] * 3 + [(5, 30)] * 3
 
     def test_control_study_flat_in_n(self):
         # composites carry exact sample moments (mean 0, std 1), so their KS

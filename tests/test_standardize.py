@@ -1,8 +1,12 @@
+import importlib
 import re
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccnet import (
     DegenerateSampleError,
@@ -19,9 +23,18 @@ from ccnet import (
     skewness,
     standard_measure_set,
     standardize,
+    standardize_set,
 )
 from ccnet.standardize import _GRID_BUDGET
-from helpers import BOX_COX_GRID, box_cox_loglik_oracle, fit_lambda_oracle
+from helpers import (
+    BOX_COX_GRID,
+    box_cox_loglik_oracle,
+    fit_lambda_oracle,
+    standardize_oracle,
+)
+
+# the package's ``standardize`` attribute is the function, not the module
+std = importlib.import_module("ccnet.standardize")
 
 
 def _raw_families(rng, n):
@@ -279,6 +292,136 @@ class TestStandardize:
             with pytest.raises(DegenerateSampleError,
                                match=re.escape(f"measure {m.name!r}: sample is constant")):
                 standardize(m)
+
+
+def _mixed_set(rng, m, n):
+    """m measures of length n: the raw families, a measure with non-positive
+    values (pre-shifted) and a smaller-is-better one, in rotating order."""
+    pool = [MeasureVector(f"fam{k}", raw) for k, raw in enumerate(_raw_families(rng, n))]
+    pool.insert(1, MeasureVector("signed", rng.standard_normal(n)))
+    pool.insert(3, MeasureVector("smaller", rng.lognormal(0.0, 1.0, n), bigger_is_better=False))
+    return [pool[k % len(pool)] for k in range(m)]
+
+
+def _assert_matches_oracle(measures):
+    got = standardize_set(measures)
+    assert [sm.name for sm in got] == [m.name for m in measures]
+    for sm, m in zip(got, measures):
+        ref = standardize_oracle(m)
+        assert sm.values.tobytes() == ref.values.tobytes(), m.name
+        assert sm.params == ref.params, m.name
+
+
+def _golden_probes(monkeypatch):
+    """Record the per-row exponents of each golden-section ``_loglik`` call
+    (the grid passes one shared 1-D block of exponents instead)."""
+    _loglik = std._loglik
+    probes = []
+
+    def recorded(logx, slog, lams):
+        if lams.ndim == 2:
+            probes.append(lams[:, 0].tolist())
+        return _loglik(logx, slog, lams)
+
+    monkeypatch.setattr(std, "_loglik", recorded)
+    return probes
+
+
+class TestStandardizeSet:
+    """Byte-equality with the one-measure-at-a-time recipe in ``helpers``."""
+
+    @pytest.mark.parametrize("n", [3, 8, 20, 1000, 10_000])
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_matches_per_measure_oracle(self, m, n):
+        measures = _mixed_set(np.random.default_rng(100 * m + n), m, n)
+        if m > 1:
+            assert any(np.min(mv.values) <= 0.0 for mv in measures)
+            assert any(not mv.bigger_is_better for mv in measures)
+        _assert_matches_oracle(measures)
+
+    @pytest.mark.parametrize("case", ["n50-tied-maximum", "n400-unscaled-normal"])
+    def test_tie_and_overflow_samples(self, case):
+        xs = _ORACLE_CASES[case]
+        rng = np.random.default_rng(9)
+        _assert_matches_oracle([MeasureVector("first", rng.lognormal(0.0, 1.0, xs.size)),
+                                MeasureVector(case, xs),
+                                MeasureVector("last", rng.exponential(1.0, xs.size))])
+        # the raw samples themselves tie and overflow on the grid; fit them
+        # as rows of one lock-step pass next to a sample that does neither
+        rows = np.stack([rng.lognormal(0.0, 0.8, xs.size), xs])
+        lams = std._fit_lambdas(np.log(rows))
+        assert lams.tolist() == [fit_lambda_oracle(row) for row in rows]
+
+    def test_rows_finish_at_different_steps(self, monkeypatch):
+        # grid peaks at -5 and +5 leave a 0.1-wide bracket, interior peaks a
+        # 0.2-wide one: the edge rows finish one golden-section step early
+        rng = np.random.default_rng(3)
+        n = 20
+        measures = [MeasureVector("right", 1.0 / (30.0 - rng.exponential(1.0, n))),
+                    MeasureVector("log", rng.lognormal(0.0, 1.0, n)),
+                    MeasureVector("left", 30.0 - rng.exponential(1.0, n)),
+                    MeasureVector("exp", rng.exponential(1.0, n), bigger_is_better=False)]
+        probes = _golden_probes(monkeypatch)
+        got = standardize_set(measures)
+        lams = [sm.params.box_cox_lambda for sm in got]
+        assert lams[0] < -4.9 and lams[2] > 4.9 and abs(lams[1]) < 4.9 and abs(lams[3]) < 4.9
+        # a finished row keeps re-probing its last point: count distinct probes
+        steps = [len({p[i] for p in probes}) for i in range(len(measures))]
+        assert steps[0] == steps[2] < steps[1] == steps[3]
+        monkeypatch.undo()
+        _assert_matches_oracle(measures)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(3, 30)),
+                  elements=st.one_of(st.integers(-10**6, 10**6).map(lambda k: k / 1000.0),
+                                     st.floats(1e-3, 1e3))),
+           st.integers(0, 31))
+    def test_property_matches_oracle(self, x, smaller):
+        measures = [MeasureVector(f"m{i}", row, bigger_is_better=not (smaller >> i) & 1)
+                    for i, row in enumerate(x)]
+        try:
+            expected = [standardize_oracle(m) for m in measures]
+        except DegenerateSampleError as exc:
+            with pytest.raises(DegenerateSampleError, match=re.escape(str(exc))):
+                standardize_set(measures)
+            return
+        for sm, ref in zip(standardize_set(measures), expected):
+            assert sm.values.tobytes() == ref.values.tobytes()
+            assert sm.params == ref.params
+
+
+class TestStandardizeSetRejects:
+    """Degenerate sets fail before any likelihood is evaluated."""
+
+    @pytest.fixture(autouse=True)
+    def no_fit(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(std, "_loglik", boom)
+
+    def test_empty_set(self):
+        with pytest.raises(ValueError, match="at least one measure"):
+            standardize_set([])
+
+    def test_unequal_lengths_name_both(self):
+        a = MeasureVector("a", np.arange(1.0, 21.0))
+        b = MeasureVector("b", np.arange(1.0, 20.0))
+        with pytest.raises(ValueError, match=r"'a' has 20 values, 'b' has 19"):
+            standardize_set([a, a, b])
+
+    def test_first_constant_measure_named(self):
+        good = MeasureVector("good", np.arange(1.0, 11.0))
+        with pytest.raises(DegenerateSampleError,
+                           match=re.escape("measure 'flat': sample is constant")):
+            standardize_set([good, MeasureVector("flat", np.full(10, 2.0)), good,
+                             MeasureVector("flat-too", np.zeros(10))])
+
+    def test_too_short_measure_named(self):
+        with pytest.raises(DegenerateSampleError,
+                           match=re.escape("measure 'short': need at least 3 values, got 2")):
+            standardize_set([MeasureVector("short", np.array([1.0, 2.0])),
+                             MeasureVector("other", np.array([3.0, 5.0]))])
 
 
 class TestInvert:

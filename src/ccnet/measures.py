@@ -101,8 +101,10 @@ def aspl(g: WeightedDigraph, direction: str) -> MeasureVector:
 def max_flow(g: WeightedDigraph, s: int | str, t: int | str) -> float:
     """Maximum s->t flow with edge capacities equal to the weights.
 
-    Shortest-augmenting-path (BFS) scheme; the value equals the minimum cut
-    capacity.  Exact for integer-valued weights.
+    The block kernel ``_flows`` on one pair: the paths of one and two edges
+    are saturated at once, the three-hop paths in one blocking sweep, and
+    any longer ones by Edmonds-Karp augmentation.  The value equals the
+    minimum cut capacity; exact for integer-valued weights.
     """
     si = g.index(s)
     ti = g.index(t)
@@ -116,34 +118,32 @@ _BLOCK = 1 << 20
 
 
 def _flows(w: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Edmonds-Karp max flow for every pair (s[k], t[k]) at once, in lock step.
+    """Max flow for every pair (s[k], t[k]) at once, in lock step.
 
-    Each pair owns a residual copy of ``w``.  Warm start: the direct edge
-    s->t and the two-hop paths s->v->t share no edges, so all of them are
-    saturated at once.  Each round then runs one BFS for every pair still
-    below its cut bound min(s_out(s), s_in(t)), one level for all pairs in
-    one set of numpy calls, and augments along the shortest path found.  A level gathers
-    each pair's frontier rows, in ascending node order and padded with an
-    all-false row, so ``argmax`` picks the smallest-index parent: every pair
-    takes the path a one-pair BFS would take.
+    Each pair owns a residual copy of ``w``.  Augmenting never shortens the
+    shortest residual s->t path, so the paths are saturated by length:
+    ``_warm_start`` takes the direct edge and every two-hop path,
+    ``_three_hop_sweep`` every three-hop path, and Edmonds-Karp rounds the
+    longer ones.  Each round runs one BFS for every pair still below its cut
+    bound min(s_out(s), s_in(t)), one level for all pairs in one set of
+    numpy calls, and augments along the shortest path found.  A level
+    gathers each pair's frontier rows, in ascending node order and padded
+    with an all-false row, so ``argmax`` picks the smallest-index parent, as
+    a one-pair BFS would.  All arithmetic is per pair, so the flows do not
+    depend on which pairs share a block.
     """
     n = w.shape[0]
-    pairs = np.arange(s.size)
-    res = np.broadcast_to(w, (s.size, n, n)).copy()
+    res, total = _warm_start(w, s, t)
     # in-strengths summed per contiguous row, as w[:, t].sum() sums them;
     # w.sum(axis=0) adds in another order and moves the bound's last bits
     bound = np.minimum(w.sum(axis=1)[s], np.ascontiguousarray(w.T).sum(axis=1)[t])
-    via = np.minimum(w[s], w.T[t])  # zero at s and t: the diagonal is zero
-    total = w[s, t] + via.sum(axis=1)
-    # residual edges into s and out of t lie on no s->t path: not recorded
-    res[pairs, s] -= via
-    res[pairs, :, t] -= via
-    res[pairs, s, t] = 0.0
+    go = np.flatnonzero(total < bound)
+    _three_hop_sweep(w, res, s, t, go, total)
     live = np.zeros((s.size, n + 1, n), dtype=bool)  # row n: the padding row
     live[:, :n] = res > 0.0
     parent = np.empty((s.size, n), dtype=np.int64)
     nodes = np.arange(n)
-    go = pairs[total < bound]
+    go = go[total[go] < bound[go]]
     while go.size:
         parent[go] = -1
         parent[go, s[go]] = s[go]
@@ -181,6 +181,71 @@ def _flows(w: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         total[go] += bottleneck[go]
         go = go[total[go] < bound[go]]
     return total
+
+
+def _warm_start(w: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (pairs, N, N) and flows after the paths of one and two edges.
+
+    The direct edge s->t and the two-hop paths s->v->t share no edges, so
+    all of them are saturated at once.  Afterwards, for every node v, s->v
+    or v->t is saturated (or absent), and res[s, t] is zero.
+    """
+    n = w.shape[0]
+    pairs = np.arange(s.size)
+    res = np.broadcast_to(w, (s.size, n, n)).copy()
+    via = np.minimum(w[s], w.T[t])  # zero at s and t: the diagonal is zero
+    total = w[s, t] + via.sum(axis=1)
+    # residual edges into s and out of t lie on no s->t path: not recorded
+    res[pairs, s] -= via
+    res[pairs, :, t] -= via
+    res[pairs, s, t] = 0.0
+    return res, total
+
+
+def _three_hop_sweep(w: np.ndarray, res: np.ndarray, s: np.ndarray, t: np.ndarray,
+                     go: np.ndarray, total: np.ndarray) -> None:
+    """Saturate every residual path s->a->b->t of the pairs ``go``, in place.
+
+    Runs on ``_warm_start``'s residuals, where no path is shorter than three
+    edges; afterwards none is shorter than four, so no level graph is built.
+    The nodes a are visited in ascending order, each step vectorised over
+    the pairs with budget left on s->a, on contiguous copies of row s (the
+    budgets) and column t (the sink capacities).  A step pushes into b only
+    while b->t has room, so s->b was saturated by the warm start: nothing
+    has entered a node with budget, and its row still equals w[a] but at t.
+    The capacities c = min(w[a], res[:, t]) are zero at s, at t and at every
+    saturated b->t, and a's budget fills them in node order:
+    push = min(max(budget - (c summed over the earlier b), 0), c).  All
+    arithmetic runs along each pair's own row.  Flows into s and out of t
+    are not recorded, as in the warm start.
+    """
+    budgets = res[go, s[go]]
+    sinks = res[go, :, t[go]]
+    for a in range(w.shape[0]):
+        k = np.flatnonzero(budgets[:, a] > 0.0)
+        if not k.size:
+            continue
+        budget = budgets[k, a]
+        room = sinks[k]
+        c = np.minimum(w[a], room)
+        filled = np.cumsum(c, axis=1)
+        # the exclusive prefix is filled shifted by one, exact; filled - c
+        # misses small c beside large ones and pushes past a spent budget
+        push = np.empty_like(c)
+        push[:, 0] = budget
+        np.subtract(budget[:, None], filled[:, :-1], out=push[:, 1:])
+        np.maximum(push, 0.0, out=push)
+        np.minimum(push, c, out=push)
+        # a spent budget is left at exactly zero, with no 1-ulp remainder
+        sent = np.minimum(budget, filled[:, -1])
+        budgets[k, a] = budget - sent
+        sinks[k] = room - push
+        p = go[k]
+        total[p] += sent
+        res[p, a] -= push
+        res[p, :, a] += push
+    res[go, s[go]] = budgets
+    res[go, :, t[go]] = sinks
 
 
 def _pair_flows(g: WeightedDigraph) -> np.ndarray:

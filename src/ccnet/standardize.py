@@ -241,7 +241,9 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
     exponents are fitted in one lock-step pass.  Row by row the arithmetic
     is the one-measure recipe's, so each result equals ``standardize`` of
     that measure bit for bit.  An empty set, unequal lengths, and a constant
-    or too-short measure (the first in order) are rejected before any fit.
+    or too-short measure (the first in order) are rejected before any fit,
+    as is a measure whose spread is too small for the pre-shift to lift its
+    minimum above zero.
     """
     measures = list(measures)
     if not measures:
@@ -260,6 +262,14 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
     lo = y.min(axis=1)
     pre_shift = np.where(lo <= 0.0, -lo + _SHIFT_MARGIN * (y.max(axis=1) - lo), 0.0)
     y += pre_shift[:, None]  # adding 0.0 leaves an unshifted, positive row as it is
+    # a spread below the float resolution of the row's magnitude rounds the
+    # shifted minimum back to zero, where Box-Cox is undefined
+    nonpositive = y.min(axis=1) <= 0.0
+    if nonpositive.any():
+        name = measures[int(np.argmax(nonpositive))].name
+        raise DegenerateSampleError(f"measure {name!r}: the pre-shift leaves a non-positive "
+                                    "value; its spread is below the float resolution of its "
+                                    "magnitude")
     mean_scale = y.mean(axis=1)
     y /= mean_scale[:, None]
 

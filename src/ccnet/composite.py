@@ -70,6 +70,14 @@ class InheritanceScheme:
     def leaves(self) -> tuple[str, ...]:
         return tuple(node.name for node in _preorder(self.root) if node.is_leaf)
 
+    def check_leaves(self, names: Sequence[str]) -> None:
+        """Reject a measure set whose names are not exactly this scheme's leaves."""
+        leaves = self.leaves()
+        missing = [n for n in leaves if n not in names]
+        extra = [n for n in names if n not in leaves]
+        if missing or extra:
+            raise SchemeError(f"scheme/measure mismatch: missing {missing}, unused {extra}")
+
     def rename_leaf(self, old: str, new: str) -> "InheritanceScheme":
         """Same tree with one leaf renamed (used by the alternative measure set)."""
         if old not in self.leaves():
@@ -155,11 +163,7 @@ def run_scheme(scheme: InheritanceScheme,
     parent's height and the root's height equals its own values.
     """
     by_name = {m.name: m for m in g1}
-    leaf_names = scheme.leaves()
-    missing = [n for n in leaf_names if n not in by_name]
-    extra = [n for n in by_name if n not in leaf_names]
-    if missing or extra:
-        raise SchemeError(f"scheme/measure mismatch: missing {missing}, unused {extra}")
+    scheme.check_leaves(list(by_name))
 
     values: dict[str, np.ndarray] = {}
     sigmas: dict[str, float] = {}

@@ -88,6 +88,12 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def check_replicates(replicates: int) -> None:
+    """Reject a Monte-Carlo replicate count below ``MIN_REPLICATES``."""
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
+
+
 def ks_null_table(n: int, replicates: int,
                   seed: int | np.random.SeedSequence) -> np.ndarray:
     """Sorted KS statistics of ``replicates`` null samples of size ``n``, read-only.
@@ -97,8 +103,9 @@ def ks_null_table(n: int, replicates: int,
     them on one thread per usable core.  Each chunk draws, sorts and reduces
     its rows in slabs of about 64K draws, so a worker holds about one slab.
     """
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} replicates, got {replicates}")
+    if n < 1:
+        raise ValueError(f"KS null table needs a sample size n of at least 1, got {n}")
+    check_replicates(replicates)
     rows_per_chunk = max(1, _CHUNK_DRAWS // n)
     rows_per_slab = max(1, _BLOCK // n)
     n_chunks = math.ceil(replicates / rows_per_chunk)

@@ -238,10 +238,25 @@ def edge_density(g: WeightedDigraph) -> float:
 def hop_distance_matrix(g: WeightedDigraph) -> np.ndarray:
     """All-pairs unweighted hop distances via per-source BFS; -1 marks unreachable.
 
-    Computed once per graph and returned read-only: ``aspl``, ``diameter``
-    and ``summarize`` all read the same matrix.
+    Computed once per graph and returned read-only: the SCCs, ``aspl``,
+    ``diameter``, ``maxflow_measure`` and ``summarize`` all read the same matrix.
     """
     return g.cached("hops", _hop_distances)
+
+
+def strong_hop_matrix(g: WeightedDigraph) -> np.ndarray:
+    """``hop_distance_matrix(g)`` of a strongly connected graph.
+
+    The one strong-connectivity check: a graph in which some node does not
+    reach another raises ``GraphError`` naming the first such ordered pair.
+    """
+    dist = hop_distance_matrix(g)
+    unreachable = np.argwhere(dist < 0)
+    if unreachable.size:
+        i, j = unreachable[0]
+        raise GraphError(f"graph is not strongly connected: "
+                         f"{g.labels[i]!r} does not reach {g.labels[j]!r}")
+    return dist
 
 
 def _hop_distances(g: WeightedDigraph) -> np.ndarray:
@@ -266,10 +281,7 @@ def diameter(g: WeightedDigraph) -> int:
     """Maximum hop distance over ordered node pairs; requires strong connectivity."""
     if g.n < 2:
         raise GraphError("diameter needs at least 2 nodes")
-    dist = hop_distance_matrix(g)
-    if np.any(dist < 0):
-        raise GraphError("graph is not strongly connected")
-    return int(dist.max())
+    return int(strong_hop_matrix(g).max())
 
 
 def clustering(g: WeightedDigraph) -> tuple[np.ndarray, float]:

@@ -31,12 +31,19 @@ from .gof import (
     DEFAULT_REPLICATES,
     GoFReport,
     anderson_darling,
+    check_replicates,
     ks_null_table,
     ks_rank,
     ks_statistic,
 )
 from .graph import GraphError, GraphSummary, _check_edge, build_graph, largest_scc, threshold_graph
-from .measures import MeasureVector, eigenvector_centrality, standard_measure_set, summarize
+from .measures import (
+    STANDARD_MEASURE_NAMES,
+    MeasureVector,
+    eigenvector_centrality,
+    standard_measure_set,
+    summarize,
+)
 from .standardize import standardize, standardize_set
 
 MEASURE_SETS = ("sf", "alt")
@@ -155,12 +162,18 @@ def analyze(edges_path: str,
 
     ``measure_set="alt"`` replaces the G1 measure with the lowest Monte-Carlo
     KS p-value by eigenvector centrality (leaf renamed to "EC" in the scheme).
-    A G1 set with constant measures is rejected before any Monte-Carlo work,
-    with one ``GraphError`` naming every constant measure.
+    A bad measure set, replicate count, seed or scheme (whose leaves must be
+    the eight standard names) fails before the edge list is read.  A G1 set
+    with constant measures is rejected before any Monte-Carlo work, with one
+    ``GraphError`` naming every constant measure.
     """
     if measure_set not in MEASURE_SETS:
         raise ValueError(f"measure_set must be one of {MEASURE_SETS}")
+    check_replicates(replicates)
+    # the KS null table's seed; a negative seed fails here
+    null_seed = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     scheme_obj = resolve_scheme(scheme)
+    scheme_obj.check_leaves(STANDARD_MEASURE_NAMES)
 
     edges = parse_edge_list(edges_path)
     full = build_graph(edges)
@@ -179,7 +192,7 @@ def analyze(edges_path: str,
                          "standardisation needs spread")
 
     # one KS null table for every test below: all samples have lsctg.n values
-    null = ks_null_table(lsctg.n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    null = ks_null_table(lsctg.n, replicates, null_seed)
 
     g1 = standardize_set(raw)
     replaced: str | None = None

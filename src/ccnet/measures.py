@@ -24,6 +24,7 @@ from .graph import (
     edge_density,
     graph_asymmetry,
     hop_distance_matrix,
+    strong_hop_matrix,
 )
 
 # the three binary axes of a radial measure: direction (IN/OUT), range (LO:
@@ -53,49 +54,43 @@ class MeasureVector:
         object.__setattr__(self, "values", v)
 
 
-def _check_direction(direction: str) -> None:
+def _radial(g: WeightedDigraph, direction: str, range_texture: str, matrix) -> MeasureVector:
+    """The D-R-T measure ``direction``-``range_texture`` read off the N x N ``matrix(g)``.
+
+    IN sums the matrix's columns, OUT its rows; a long-range (LO) measure is
+    a mean over the N - 1 other nodes.  Direction and size are checked before
+    ``matrix(g)`` is computed.  Farness (LO-QL) is the one measure for which
+    smaller is better.
+    """
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+    name = f"{direction.upper()}-{range_texture}"
+    if g.n < 2:
+        raise GraphError(f"{name} needs at least 2 nodes")
+    m = matrix(g)
+    vals = m.sum(axis=0) if direction == "in" else m.sum(axis=1)
+    if range_texture.startswith("LO"):
+        vals = vals / (g.n - 1)
+    return MeasureVector(name, vals, bigger_is_better=range_texture != "LO-QL")
 
 
 def degree(g: WeightedDigraph, direction: str) -> MeasureVector:
-    """In- or out-degree counted over the directed adjacency."""
-    _check_direction(direction)
-    if g.n < 2:
-        raise GraphError("degree needs at least 2 nodes")
-    a = g.adjacency()
-    vals = a.sum(axis=0) if direction == "in" else a.sum(axis=1)
-    return MeasureVector(f"degree_{direction}", vals.astype(float), bigger_is_better=True)
+    """In- or out-degree counted over the directed adjacency (SH-QL)."""
+    return _radial(g, direction, "SH-QL", WeightedDigraph.adjacency)
 
 
 def strength(g: WeightedDigraph, direction: str) -> MeasureVector:
-    """Weighted in- or out-strength (column/row sums of the weight matrix)."""
-    _check_direction(direction)
-    if g.n < 2:
-        raise GraphError("strength needs at least 2 nodes")
-    vals = g.weights.sum(axis=0) if direction == "in" else g.weights.sum(axis=1)
-    return MeasureVector(f"strength_{direction}", vals, bigger_is_better=True)
+    """Weighted in- or out-strength, column/row sums of the weights (SH-QN)."""
+    return _radial(g, direction, "SH-QN", lambda g: g.weights)
 
 
 def aspl(g: WeightedDigraph, direction: str) -> MeasureVector:
-    """Average shortest hop distance per other node (farness); smaller is better.
+    """Average shortest hop distance per other node (farness, LO-QL); smaller is better.
 
     ``out``: mean distance from the node to every other node; ``in``: mean
     distance from every other node to it.  Requires strong connectivity.
     """
-    _check_direction(direction)
-    if g.n < 2:
-        raise GraphError("ASPL needs at least 2 nodes")
-    dist = hop_distance_matrix(g)
-    off = ~np.eye(g.n, dtype=bool)
-    if np.any(dist[off] < 0):
-        raise GraphError("graph is not strongly connected")
-    d = dist.astype(float)
-    if direction == "out":
-        vals = d.sum(axis=1) / (g.n - 1)
-    else:
-        vals = d.sum(axis=0) / (g.n - 1)
-    return MeasureVector(f"aspl_{direction}", vals, bigger_is_better=False)
+    return _radial(g, direction, "LO-QL", strong_hop_matrix)
 
 
 def max_flow(g: WeightedDigraph, s: int | str, t: int | str) -> float:
@@ -264,26 +259,20 @@ def _pair_flows(g: WeightedDigraph) -> np.ndarray:
     return flows
 
 
+def _flow_matrix(g: WeightedDigraph) -> np.ndarray:
+    strong_hop_matrix(g)  # a graph that is not strongly connected fails before any flow
+    return g.cached("maxflow", _pair_flows)
+
+
 def maxflow_measure(g: WeightedDigraph, direction: str) -> MeasureVector:
-    """Mean pairwise max flow into (``in``) or out of (``out``) each node.
+    """Mean pairwise max flow into (``in``) or out of (``out``) each node (LO-QN).
 
     f_in(i) averages max_flow(j, i) over the other nodes j, mirroring the
     per-other-node convention of farness.  The N(N-1) pair flows are
     computed once per graph into a read-only matrix, which both directions
-    and ``summarize`` share.
+    and ``summarize`` share.  Requires strong connectivity.
     """
-    _check_direction(direction)
-    if g.n < 2:
-        raise GraphError("max-flow measure needs at least 2 nodes")
-    n = g.n
-    flows = g.cached("maxflow", _pair_flows)
-    if np.any(flows[~np.eye(n, dtype=bool)] <= 0.0):
-        raise GraphError("graph is not strongly connected (zero pairwise flow)")
-    if direction == "in":
-        vals = flows.sum(axis=0) / (n - 1)
-    else:
-        vals = flows.sum(axis=1) / (n - 1)
-    return MeasureVector(f"maxflow_{direction}", vals, bigger_is_better=True)
+    return _radial(g, direction, "LO-QN", _flow_matrix)
 
 
 def eigenvector_centrality(g: WeightedDigraph) -> MeasureVector:
@@ -313,12 +302,8 @@ def standard_measure_set(g: WeightedDigraph) -> list[MeasureVector]:
     # built per call: a wrapper installed on a module attribute must be seen
     by_range_texture = {"LO-QL": aspl, "LO-QN": maxflow_measure,
                         "SH-QL": degree, "SH-QN": strength}
-    out = []
-    for name in STANDARD_MEASURE_NAMES:
-        direction, range_texture = name.split("-", 1)
-        m = by_range_texture[range_texture](g, direction.lower())
-        out.append(MeasureVector(name, m.values, m.bigger_is_better))
-    return out
+    return [by_range_texture[f"{r}-{t}"](g, d.lower())
+            for d, r, t in itertools.product(*AXES.values())]
 
 
 def summarize(g: WeightedDigraph, full: WeightedDigraph | None = None) -> GraphSummary:

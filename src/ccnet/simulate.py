@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .composite import combine_set
-from .gof import DEFAULT_REPLICATES, ks_null_table, ks_rank, ks_statistic
+from .gof import DEFAULT_REPLICATES, check_replicates, ks_null_table, ks_rank, ks_statistic
 from .measures import MeasureVector
 from .standardize import standardize_set
 
@@ -137,7 +137,6 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
                    stat_realizations: int = 100,
                    replicates: int = DEFAULT_REPLICATES,
                    seed: int = 0,
-                   spec: ArbMeasureSpec | None = None,
                    sampler: Callable[[int, np.random.SeedSequence],
                                      list[MeasureVector]] | None = None) -> StudyResult:
     """Run the composite-score goodness-of-fit study over sample sizes.
@@ -154,7 +153,8 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
     error has standard deviation at most 1/(2 sqrt(replicates)).  Samples
     are seeded through spawn keys of (size, realization, stream) and each
     size's null table through the key (size,), so results are bit-identical
-    for a given seed and independent of evaluation order.
+    for a given seed and independent of evaluation order.  The default
+    sampler is ``sample_arb`` with the default ``ArbMeasureSpec``.
     """
     sizes = [int(n) for n in sizes]
     if not sizes:
@@ -166,9 +166,9 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
                         ("stat_realizations", stat_realizations)):
         if count < 2:
             raise ValueError(f"{name} must be at least 2, got {count}")
-    if spec is None:
-        spec = ArbMeasureSpec()
+    check_replicates(replicates)
     if sampler is None:
+        spec = ArbMeasureSpec()
         sampler = lambda n, ss: sample_arb(spec, n, ss)  # noqa: E731
 
     def draw(n: int, r: int) -> list[MeasureVector]:

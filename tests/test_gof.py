@@ -176,6 +176,11 @@ class TestKsNull:
         assert np.array_equal(null, ks_null_table(30, 2500, np.random.SeedSequence(9)))
         assert not np.array_equal(null, ks_null_table(30, 2500, seed=10))
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"sample size n of at least 1, got {n}$"):
+            ks_null_table(n, 2500, seed=0)
+
     def test_partial_last_chunk_is_filled(self):
         # at n = 5000 a chunk holds 838 rows, so 2500 replicates take two full
         # chunks and a partial one; every entry must be a KS statistic, and

@@ -9,8 +9,10 @@ from ccnet import (
     EdgeListError,
     GraphError,
     MeasureVector,
+    SchemeError,
     adjust_threshold,
     analyze,
+    builtin_scheme,
     factor_for_year,
     load_factors,
     parse_edge_list,
@@ -19,6 +21,9 @@ from ccnet import (
 )
 from ccnet.gof import ks_null_table
 from helpers import check_golden, make_tradelike
+
+# the drt scheme with one standard leaf renamed away
+BAD_LEAF = builtin_scheme("drt").rename_leaf("IN-LO-QL", "X")
 
 
 def _write_edges(path, g):
@@ -308,6 +313,20 @@ class TestAnalyze:
         p.write_text("source,target,weight\na,b,1\nb,c,1\n")
         with pytest.raises(GraphError):
             analyze(str(p), 0.5, replicates=2500)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"replicates": 100}, ValueError, "need at least 2500 replicates, got 100"),
+        ({"seed": -1}, ValueError, "non-negative"),
+        ({"scheme": BAD_LEAF}, SchemeError, r"mismatch: missing \['X'\], unused \['IN-LO-QL'\]"),
+        ({"scheme": BAD_LEAF, "measure_set": "alt"}, SchemeError, "mismatch: missing"),
+    ], ids=["too-few-replicates", "negative-seed", "scheme-leaves-sf", "scheme-leaves-alt"])
+    def test_bad_arguments_rejected_before_parsing(self, monkeypatch, kwargs, error, message):
+        def no_parse(path):
+            raise AssertionError("read the edge list before checking the arguments")
+
+        monkeypatch.setattr(ccnet.io, "parse_edge_list", no_parse)
+        with pytest.raises(error, match=message):
+            analyze("edges.csv", 1.0, **{"replicates": 2500, **kwargs})
 
     def test_substrate_below_test_minimum_fails_first(self, tmp_path, monkeypatch):
         # a 6-node LSCC cannot take the 8-value Anderson-Darling test; the

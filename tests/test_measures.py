@@ -7,6 +7,7 @@ from ccnet import (
     AXES,
     STANDARD_MEASURE_NAMES,
     GraphError,
+    WeightedDigraph,
     aspl,
     build_graph,
     degree,
@@ -189,6 +190,46 @@ class TestMaxflowMeasure:
                     if s != t:
                         assert flows[s, t] == pytest.approx(
                             nx.maximum_flow_value(ref, s, t), rel=1e-12, abs=0.0)
+
+
+class TestStrongConnectivityCheck:
+    # c is reached from a and b but reaches neither: (c, a) is the first
+    # unreachable ordered pair in node order
+    G = build_graph([("a", "b", 1.0), ("b", "a", 1.0), ("b", "c", 1.0)])
+
+    @pytest.mark.parametrize("fn", [lambda g: aspl(g, "in"), lambda g: aspl(g, "out"),
+                                    lambda g: maxflow_measure(g, "in"),
+                                    lambda g: maxflow_measure(g, "out"), diameter],
+                             ids=["aspl-in", "aspl-out", "maxflow-in", "maxflow-out", "diameter"])
+    def test_rejected_naming_an_unreachable_pair_before_any_flow(self, fn, monkeypatch):
+        def no_flows(g):
+            raise AssertionError("computed pair flows on a graph that is not strongly connected")
+
+        monkeypatch.setattr(measures, "_pair_flows", no_flows)
+        with pytest.raises(GraphError, match="^graph is not strongly connected: "
+                                             "'c' does not reach 'a'$"):
+            fn(self.G)
+
+
+class TestRadialNames:
+    FUNCTIONS = {"LO-QL": aspl, "LO-QN": maxflow_measure, "SH-QL": degree, "SH-QN": strength}
+
+    def test_functions_return_the_standard_names(self):
+        g = make_tradelike(10, 0)
+        names = [m.name for m in standard_measure_set(g)]
+        assert names == list(STANDARD_MEASURE_NAMES)
+        for name in names:
+            direction, range_texture = name.split("-", 1)
+            m = self.FUNCTIONS[range_texture](g, direction.lower())
+            assert m.name == name
+
+    @pytest.mark.parametrize("range_texture", ["LO-QL", "LO-QN", "SH-QL", "SH-QN"])
+    def test_size_error_names_the_measure(self, range_texture):
+        g = WeightedDigraph(("a",), np.zeros((1, 1)))
+        with pytest.raises(GraphError, match=f"^OUT-{range_texture} needs at least 2 nodes$"):
+            self.FUNCTIONS[range_texture](g, "out")
+        with pytest.raises(ValueError, match="direction must be"):
+            self.FUNCTIONS[range_texture](g, "sideways")
 
 
 class TestFlowBlocks:

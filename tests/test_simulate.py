@@ -166,8 +166,9 @@ class TestStudy:
         ({"p_realizations": 0, "stat_realizations": 0}, "p_realizations must"),
         ({"sizes": (200, 100)}, "sizes must be strictly increasing"),
         ({"sizes": (5,)}, "need at least 10 samples"),
+        ({"replicates": 100}, "need at least 2500 replicates, got 100"),
     ], ids=["no-sizes", "one-p", "one-stat", "zero-both", "decreasing-sizes",
-            "size-below-sampler-floor"])
+            "size-below-sampler-floor", "too-few-replicates"])
     def test_degenerate_arguments_rejected_before_any_draw(self, monkeypatch, kwargs, message):
         def no_draw(*args):
             raise AssertionError("drew a null table before checking the arguments")

@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .gof import ks_statistic
+from .gof import _phi, ks_statistic
 from .io import AnalysisReport
 
 _PALETTE = (
@@ -177,7 +176,7 @@ def render_cdf_overlay(scores: Sequence[float]) -> str:
     # standard normal CDF, sampled polyline
     grid = np.linspace(x_lo, x_hi, 201)
     pts = " ".join(f"{_fmt(sx(float(v)))},{_fmt(sy(float(p)))}"
-                   for v, p in zip(grid, ndtr(grid)))
+                   for v, p in zip(grid, _phi(grid)))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="1.6"/>')
 
     # empirical CDF step path
@@ -189,7 +188,7 @@ def render_cdf_overlay(scores: Sequence[float]) -> str:
     parts.append(f'<path d="{" ".join(step)}" fill="none" stroke="#1f77b4" stroke-width="1.4"/>')
 
     # KS gap marker at the attaining order statistic
-    z = ndtr(x)
+    z = _phi(x)
     i = np.arange(1, n + 1)
     gaps = np.maximum(np.abs(i / n - z), np.abs(z - (i - 1) / n))
     k = int(np.argmax(gaps))

@@ -1,9 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ccnet
 from ccnet import BUILTIN_SCHEME_IDS
 from ccnet.cli import build_parser, main
 from ccnet.gof import DEFAULT_REPLICATES
@@ -177,3 +181,50 @@ def test_parser_reads_library_constants():
     assert analyze["replicates"].default == DEFAULT_REPLICATES
     assert options["simulate"]["replicates"].default == DEFAULT_REPLICATES
     assert f"({'|'.join(BUILTIN_SCHEME_IDS)})" in analyze["scheme"].help
+
+
+# runs the CLI commands given as a JSON list of argv lists in its first
+# argument, in an interpreter in which any import of scipy raises ImportError
+NO_SCIPY_RUN = """
+import json
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from ccnet.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_cli_runs_without_scipy(workdir, tmp_path):
+    _, edges, _, e_th = workdir
+
+    def runs(out, node):
+        report = str(out / "report.json")
+        return [["analyze", "--edges", edges, "--threshold", str(e_th), "--seed", "5",
+                 "--replicates", "2500", "--out", report],
+                ["ngfp", "--reports", report, "--node", node, "--out", str(out / "ngfp.svg")],
+                ["cdf", "--reports", report, "--out", str(out / "cdf.svg")]]
+
+    here, there = tmp_path / "in_process", tmp_path / "no_scipy"
+    here.mkdir()
+    there.mkdir()
+    assert main(runs(here, "")[0]) == 0
+    node = json.loads((here / "report.json").read_text())["nodes"][0]
+    for argv in runs(here, node)[1:]:
+        assert main(argv) == 0
+
+    src = os.path.dirname(os.path.dirname(ccnet.__file__))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(runs(there, node))],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    for name in ("report.json", "ngfp.svg", "cdf.svg"):
+        assert (there / name).read_bytes() == (here / name).read_bytes(), name

@@ -6,15 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 import ccnet.gof
 from ccnet import AD_CRITICAL_10PCT, anderson_darling, ks_p_value, ks_statistic
-from ccnet.gof import _CHUNK_DRAWS, _ks_rows, ks_null_table
+from ccnet.gof import _CHUNK_DRAWS, _ks_rows, _log_phi, _phi, ks_null_table
 from helpers import ks_rows_oracle
 
 # seeded and without an example database, so every run tries the same cases
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+class TestPhi:
+    """The libm-based Phi and log Phi against scipy's ndtr and log_ndtr."""
+
+    PHI_ABS = 1e-15
+    PHI_REL = 1e-12
+    LOG_PHI_REL = 1e-12
+
+    def test_phi_matches_ndtr(self):
+        x = np.linspace(-40.0, 40.0, 400_001)
+        got, ref = _phi(x), ndtr(x)
+        assert np.max(np.abs(got - ref)) <= self.PHI_ABS
+        pos = ref > 0
+        assert np.max(np.abs(got[pos] - ref[pos]) / ref[pos]) <= self.PHI_REL
+
+    def test_log_phi_matches_log_ndtr(self):
+        x = np.linspace(-60.0, 60.0, 600_001)
+        got, ref = _log_phi(x), log_ndtr(x)
+        assert np.all(np.isfinite(got))
+        nz = ref != 0
+        assert np.max(np.abs(got[nz] - ref[nz]) / np.abs(ref[nz])) <= self.LOG_PHI_REL
+
+    def test_phi_is_half_at_zero_and_non_decreasing(self):
+        assert _phi(np.zeros(1))[0] == 0.5
+        assert np.all(np.diff(_phi(np.linspace(-40.0, 40.0, 400_001))) >= 0)
 
 
 class TestKsStatistic:
@@ -62,7 +88,8 @@ class TestKsStatistic:
     @given(arrays(np.float64, st.integers(5, 60),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_equals_scipy_kstest_bit_for_bit(self, x):
-        assert ks_statistic(x) == stats.kstest(x, "norm").statistic
+        # scipy's KS distance, read against the same Phi
+        assert ks_statistic(x) == stats.kstest(x, _phi).statistic
 
 
 class TestKsRows:
@@ -261,6 +288,13 @@ class TestAndersonDarling:
     def test_uniform_rejected(self):
         x = np.random.default_rng(0).uniform(0.0, 1.0, 200)
         assert anderson_darling(x).decision == "reject"
+
+    def test_finite_with_far_tail_values(self):
+        # Phi(-60) underflows to zero: log Phi must come from the tail series
+        x = np.concatenate([[-60.0, 60.0], np.random.default_rng(2).standard_normal(30)])
+        rep = anderson_darling(x)
+        assert math.isfinite(rep.statistic)
+        assert rep.decision == "reject"
 
     def test_report_shape(self):
         rep = anderson_darling(np.random.default_rng(1).standard_normal(100))

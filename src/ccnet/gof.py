@@ -46,15 +46,16 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, (-_SQRT_HALF * x).tolist()), float, x.size)
 
 
-def _log_phi(x: np.ndarray) -> np.ndarray:
-    """log Phi(x), finite for every finite x.
+def _log_phi(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """log Phi(x) from ``lower`` = Phi(-|x|), finite for every finite x.
 
     Phi(-|x|) never rounds to 1, so x <= 0 takes its log and x > 0 the log1p
     of its complement.  Below -37.5 Phi is subnormal, so the log comes from
     the asymptotic series Phi(x) ~ phi(x)/|x| (1 - r + 3r^2 - 15r^3 + 105r^4),
-    r = 1/x^2, whose next term is below 2e-13 of the sum there.
+    r = 1/x^2, whose next term is below 2e-13 of the sum there.  ``lower``
+    must be contiguous: numpy's log of a strided view may round differently
+    in the last bit.
     """
-    lower = _phi(-np.abs(x))
     with np.errstate(divide="ignore"):
         out = np.where(x > 0, np.log1p(-lower), np.log(lower))
     tail = x < _LOG_PHI_TAIL
@@ -222,9 +223,12 @@ def anderson_darling(sample) -> GoFReport:
     x = np.sort(x)
     n = x.size
     i = np.arange(1, n + 1)
-    # log Phi and log(1 - Phi) computed directly to avoid tail underflow
-    log_cdf = _log_phi(x)
-    log_sf = _log_phi(-x[::-1])
+    # log Phi and log(1 - Phi) computed directly to avoid tail underflow; the
+    # reversed sample -x[::-1] has the magnitudes of x reversed, so one erfc
+    # pass serves both
+    lower = _phi(-np.abs(x))
+    log_cdf = _log_phi(x, lower)
+    log_sf = _log_phi(-x[::-1], lower[::-1].copy())
     a2 = -n - np.sum((2 * i - 1) * (log_cdf + log_sf)) / n
     return GoFReport(
         test_name="anderson-darling",

@@ -215,8 +215,12 @@ def _skewness_rows(x: np.ndarray) -> np.ndarray:
     """``skewness`` of each row of an (m, n) array."""
     n = x.shape[1]
     dev = x - x.mean(axis=1, keepdims=True)
-    m2 = np.mean(dev**2, axis=1)
-    m3 = np.mean(dev**3, axis=1)
+    # dev**2 is numpy's square, but dev**3 calls libm pow on each value; the
+    # cube reuses the square in place
+    sq = dev * dev
+    m2 = np.mean(sq, axis=1)
+    sq *= dev
+    m3 = np.mean(sq, axis=1)
     # scalar powers: numpy's vector pow may round differently in the last bit
     g1 = m3 / np.array([v**1.5 for v in m2])
     return g1 * np.sqrt(n * (n - 1.0)) / (n - 2.0)

@@ -22,6 +22,7 @@ from ccnet import (
     TransformParams,
     WeightedDigraph,
 )
+from ccnet.gof import _log_phi, _phi
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -275,6 +276,18 @@ def standardize_oracle(measure: MeasureVector) -> StandardizedMeasure:
     flipped = not measure.bigger_is_better
     params = TransformParams(pre_shift, mean_scale, used, post_mean, post_std, flipped)
     return StandardizedMeasure(measure.name, -z if flipped else z, params)
+
+
+def anderson_darling_two_pass(x: np.ndarray) -> float:
+    """A^2 of a sample as computed before one erfc pass served both logs:
+    log Phi of the sorted sample and of its reversed negation, each from its
+    own Phi(-|x|)."""
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.size
+    i = np.arange(1, n + 1)
+    log_cdf = _log_phi(x, _phi(-np.abs(x)))
+    log_sf = _log_phi(-x[::-1], _phi(-np.abs(-x[::-1])))
+    return float(-n - np.sum((2 * i - 1) * (log_cdf + log_sf)) / n)
 
 
 def ks_rows_oracle(cdf_rows: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from scipy.special import log_ndtr, ndtr
 import ccnet.gof
 from ccnet import AD_CRITICAL_10PCT, anderson_darling, ks_p_value, ks_statistic
 from ccnet.gof import _CHUNK_DRAWS, _ks_rows, _log_phi, _phi, ks_null_table
-from helpers import ks_rows_oracle
+from helpers import anderson_darling_two_pass, ks_rows_oracle
 
 # seeded and without an example database, so every run tries the same cases
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -33,7 +33,7 @@ class TestPhi:
 
     def test_log_phi_matches_log_ndtr(self):
         x = np.linspace(-60.0, 60.0, 600_001)
-        got, ref = _log_phi(x), log_ndtr(x)
+        got, ref = _log_phi(x, _phi(-np.abs(x))), log_ndtr(x)
         assert np.all(np.isfinite(got))
         nz = ref != 0
         assert np.max(np.abs(got[nz] - ref[nz]) / np.abs(ref[nz])) <= self.LOG_PHI_REL
@@ -295,6 +295,37 @@ class TestAndersonDarling:
         rep = anderson_darling(x)
         assert math.isfinite(rep.statistic)
         assert rep.decision == "reject"
+
+    def test_one_erfc_pass_equals_two_pass_form(self, monkeypatch):
+        calls, logs = [], []
+
+        def counted(x):
+            calls.append(x.size)
+            return _phi(x)
+
+        def recorded(x, lower):
+            out = _log_phi(x, lower)
+            logs.append((x, out))
+            return out
+
+        monkeypatch.setattr(ccnet.gof, "_phi", counted)
+        monkeypatch.setattr(ccnet.gof, "_log_phi", recorded)
+        rng = np.random.default_rng(3)
+        extremes = np.array([50.0, -50.0, 0.0, -0.0])
+        for k in range(300):
+            x = rng.standard_normal(int(rng.integers(8, 2000))) * rng.uniform(0.2, 3.0)
+            if k % 3 == 0:
+                x = np.concatenate([x, extremes[: k % 4 + 1]])
+            calls.clear()
+            logs.clear()
+            a2 = anderson_darling(x).statistic
+            assert calls == [x.size]
+            # each log term, not only their sum, is the one-pass log's: numpy's
+            # log of a reversed view rounds some values differently
+            assert len(logs) == 2
+            for arg, out in logs:
+                assert out.tobytes() == _log_phi(arg, _phi(-np.abs(arg))).tobytes()
+            assert a2 == anderson_darling_two_pass(x)
 
     def test_report_shape(self):
         rep = anderson_darling(np.random.default_rng(1).standard_normal(100))

@@ -1,4 +1,7 @@
 import importlib
+import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +106,85 @@ class TestStudy:
                     ArbMeasureSpec(), n, np.random.SeedSequence(entropy=12, spawn_key=(n, r, 0))))
                 ps.append(np.count_nonzero(null >= ks_statistic(scores)) / 2500)
             assert row.p_mean == float(np.mean(ps))
+
+    def test_table_error_is_raised_and_no_thread_outlives_the_call(self, monkeypatch):
+        boom = RuntimeError("table failed")
+
+        def failing(n, replicates, seed):
+            raise boom
+
+        monkeypatch.setattr(ccnet.simulate, "ks_null_table", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=3,
+                           replicates=2500, seed=5)
+        assert caught.value is boom
+        assert threading.active_count() == before
+
+    def test_composite_error_waits_for_the_table_in_flight(self, monkeypatch):
+        finished = []
+
+        def slow(n, replicates, seed):
+            time.sleep(0.2)
+            finished.append(n)
+            return ks_null_table(n, replicates, seed)
+
+        def sampler(n, ss):
+            if ss.spawn_key == (n, 1, 0):
+                raise ValueError("bad realization")
+            return sample_arb(ArbMeasureSpec(), n, ss)
+
+        monkeypatch.setattr(ccnet.simulate, "ks_null_table", slow)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="bad realization"):
+            gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=3,
+                           replicates=2500, seed=5, sampler=sampler)
+        assert finished == [50]
+        assert threading.active_count() == before
+
+    def test_rejected_size_fails_before_its_table_is_requested(self, monkeypatch):
+        tables = []
+
+        def counted(n, replicates, seed):
+            tables.append(n)
+            return ks_null_table(n, replicates, seed)
+
+        def sampler(n, ss):
+            if n == 100:
+                raise ValueError("size rejected")
+            return sample_arb(ArbMeasureSpec(), n, ss)
+
+        monkeypatch.setattr(ccnet.simulate, "ks_null_table", counted)
+        with pytest.raises(ValueError, match="size rejected"):
+            gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=3,
+                           replicates=2500, seed=6, sampler=sampler)
+        assert tables == [50]
+
+    def test_equals_sequential_recipe(self):
+        sizes, p_real, stat_real, reps, seed = (60, 700), 3, 5, 2500, 9
+        rows = []
+        for n in sizes:
+            null = ks_null_table(n, reps, np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+            comp, ref, ps = [], [], []
+            for r in range(stat_real):
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0))
+                comp.append(ks_statistic(composite_scores(sample_arb(ArbMeasureSpec(), n, ss))))
+                ref.append(ks_statistic(np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 2))).standard_normal(n)))
+                if r < p_real:
+                    ps.append(np.count_nonzero(null >= comp[-1]) / reps)
+            row = {"size": n}
+            for prefix, values in (("p", ps), ("comp_ks", comp), ("null_ks", ref)):
+                v = np.array(values)
+                mean, half = float(v.mean()), float(1.96 * v.std(ddof=1) / np.sqrt(v.size))
+                row.update({f"{prefix}_mean": mean, f"{prefix}_lo": mean - half,
+                            f"{prefix}_hi": mean + half})
+            rows.append(row)
+        expected = json.dumps({"p_realizations": p_real, "stat_realizations": stat_real,
+                               "replicates": reps, "seed": seed, "rows": rows}, indent=2) + "\n"
+        study = gof_vs_n_study(sizes=sizes, p_realizations=p_real,
+                               stat_realizations=stat_real, replicates=reps, seed=seed)
+        assert study_to_json(study) == expected
 
     def test_one_set_fit_per_composite(self, monkeypatch):
         # the package's ``standardize`` attribute is the function, not the module

@@ -30,6 +30,7 @@ from helpers import (
     BOX_COX_GRID,
     box_cox_loglik_oracle,
     fit_lambda_oracle,
+    skewness_oracle,
     standardize_oracle,
 )
 
@@ -214,6 +215,26 @@ class TestSkewness:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateSampleError):
             skewness(np.full(5, 3.0))
+
+
+    def test_rows_match_pow_oracle(self):
+        # the rows cube by multiplying; the oracle keeps numpy's pow
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for n in (5, 40, 400):
+                fams = _raw_families(rng, n)
+                got = std._skewness_rows(np.vstack(fams))
+                want = [skewness_oracle(xs) for xs in fams]
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_keep_decisions_match_oracle(self):
+        for seed in range(20):
+            measures = _mixed_set(np.random.default_rng(seed), 7, 60 + 37 * seed)
+            got = standardize_set(measures)
+            for sm, m in zip(got, measures):
+                ref = standardize_oracle(m)
+                assert ((sm.params.box_cox_lambda is None)
+                        == (ref.params.box_cox_lambda is None)), m.name
 
 
 class TestStandardize:

@@ -112,14 +112,18 @@ class TestMaxFlow:
         with pytest.raises(GraphError):
             max_flow(complete_digraph(3), "v0", "v0")
 
+    # the oracle comparisons run on one ``_pair_flows`` matrix per graph;
+    # TestFlowBlocks::test_block_seams_bit_equal checks that each entry is
+    # ``max_flow`` of its pair
     def test_matches_exhaustive_cut_oracle(self):
         for seed in range(40):
             n = 4 + seed % 5
             g = random_digraph(n, seed, p=0.45)
+            flows = measures._pair_flows(g)
             for s in range(n):
                 for t in range(n):
                     if s != t:
-                        assert max_flow(g, s, t) == min_cut_oracle(g.weights, s, t)
+                        assert flows[s, t] == min_cut_oracle(g.weights, s, t)
 
     def test_float_weights_match_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -129,10 +133,11 @@ class TestMaxFlow:
             ref.add_nodes_from(range(n))
             for i, j in zip(*np.nonzero(g.weights)):
                 ref.add_edge(int(i), int(j), capacity=float(g.weights[i, j]))
+            flows = measures._pair_flows(g)
             for s in range(n):
                 for t in range(n):
                     if s != t:
-                        assert max_flow(g, s, t) == pytest.approx(
+                        assert flows[s, t] == pytest.approx(
                             nx.maximum_flow_value(ref, s, t), rel=1e-12, abs=0.0)
 
     def test_integer_flow_matrix_matches_cut_oracle(self):
@@ -149,10 +154,11 @@ class TestMaxFlow:
             g = random_strongly_connected(10, seed)
             s_out = strength(g, "out").values
             s_in = strength(g, "in").values
+            flows = measures._pair_flows(g)
             for s in range(g.n):
                 for t in range(g.n):
                     if s != t:
-                        assert max_flow(g, s, t) <= min(s_out[s], s_in[t]) + 1e-12
+                        assert flows[s, t] <= min(s_out[s], s_in[t]) + 1e-12
 
 
 class TestMaxflowMeasure:

@@ -1,14 +1,16 @@
 import importlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ccnet import (
+    ArbMeasureSpec,
     DegenerateSampleError,
     InversionError,
     MeasureVector,
@@ -20,6 +22,7 @@ from ccnet import (
     box_cox_loglik,
     fit_lambda,
     invert,
+    sample_arb,
     skewness,
     standard_measure_set,
     standardize,
@@ -137,6 +140,7 @@ class TestFitLambda:
         xs = xs / xs.mean()
         lam = fit_lambda(xs)
         assert 0.2 <= lam <= 5.0
+        assert lam == fit_lambda_oracle(xs)
         assert abs(skewness(xs)) < 0.1
 
     def test_exponential_cube_rootish(self):
@@ -161,6 +165,14 @@ def _oracle_cases():
 
 
 _ORACLE_CASES = _oracle_cases()
+
+# the tie and overflow cases at a length whose one-row grid spans several
+# blocks, so that the grid is scanned by ``_grid_candidates`` first
+_MULTI_BLOCK_CASES = {
+    # -inf below lam = -3 and expm1 cancellation above it
+    "n1000-unscaled-normal": np.random.default_rng(12).normal(1e5, 1e3, 1000),
+    "n1000-tied-maximum": 1.0 + 1e-12 * np.random.default_rng(0).standard_normal(1000),
+}
 
 
 class TestGridOracle:
@@ -335,17 +347,44 @@ def _assert_matches_oracle(measures):
 
 def _golden_probes(monkeypatch):
     """Record the per-row exponents of each golden-section ``_loglik`` call
-    (the grid passes one shared 1-D block of exponents instead)."""
+    (the grid's calls pass exponents on the 0.1-step grid instead)."""
     _loglik = std._loglik
     probes = []
 
     def recorded(logx, slog, lams):
-        if lams.ndim == 2:
+        if not np.isin(lams, BOX_COX_GRID).all():
             probes.append(lams[:, 0].tolist())
         return _loglik(logx, slog, lams)
 
     monkeypatch.setattr(std, "_loglik", recorded)
     return probes
+
+
+def _grid_columns(monkeypatch):
+    """Record the number of grid exponents each row gets in each ``_loglik``
+    call that evaluates grid points."""
+    _loglik = std._loglik
+    columns = []
+
+    def recorded(logx, slog, lams):
+        if np.isin(lams, BOX_COX_GRID).all():
+            columns.append(lams.shape[-1])
+        return _loglik(logx, slog, lams)
+
+    monkeypatch.setattr(std, "_loglik", recorded)
+    return columns
+
+
+def _draw_family(rng, family, sd, mu, n):
+    """n positive values of one shape, spread sd (relative) around e^mu."""
+    z = rng.standard_normal(n)
+    if family == "lognormal":
+        return np.exp(mu + sd * z)
+    if family == "normal":
+        return np.exp(mu) * (1.0 + min(sd, 0.5) * np.tanh(z))
+    if family == "pareto":
+        return np.exp(mu) * (1.0 + sd * rng.pareto(3.0, n))
+    return np.exp(mu) * (1.0 + sd * rng.integers(0, 3, n))  # three tied levels
 
 
 class TestStandardizeSet:
@@ -360,9 +399,10 @@ class TestStandardizeSet:
             assert any(not mv.bigger_is_better for mv in measures)
         _assert_matches_oracle(measures)
 
-    @pytest.mark.parametrize("case", ["n50-tied-maximum", "n400-unscaled-normal"])
+    @pytest.mark.parametrize("case", ["n50-tied-maximum", "n400-unscaled-normal",
+                                      *_MULTI_BLOCK_CASES])
     def test_tie_and_overflow_samples(self, case):
-        xs = _ORACLE_CASES[case]
+        xs = {**_ORACLE_CASES, **_MULTI_BLOCK_CASES}[case]
         rng = np.random.default_rng(9)
         _assert_matches_oracle([MeasureVector("first", rng.lognormal(0.0, 1.0, xs.size)),
                                 MeasureVector(case, xs),
@@ -372,6 +412,71 @@ class TestStandardizeSet:
         rows = np.stack([rng.lognormal(0.0, 0.8, xs.size), xs])
         lams = std._fit_lambdas(np.log(rows))
         assert lams.tolist() == [fit_lambda_oracle(row) for row in rows]
+
+    def test_multi_block_cases_tie_and_overflow(self):
+        cases = _MULTI_BLOCK_CASES
+        assert all(x.size * BOX_COX_GRID.size > _GRID_BUDGET for x in cases.values())
+        grid = [box_cox_loglik_oracle(cases["n1000-unscaled-normal"], float(lam))
+                for lam in BOX_COX_GRID]
+        assert -np.inf in grid and max(grid) > -np.inf
+        grid = np.array([box_cox_loglik_oracle(cases["n1000-tied-maximum"], float(lam))
+                         for lam in BOX_COX_GRID])
+        assert np.sum(grid == grid.max()) > 1
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_grid_scan_property_matches_oracle(self, m, seed):
+        # lengths past the one-block seam, where the grid scan rules columns
+        # out; spreads from 1e-12 to 3, about the mean-one scale that
+        # standardize_set fits at or far from it
+        rng = np.random.default_rng(seed)
+        n = _GRID_BUDGET // (m * BOX_COX_GRID.size) + int(rng.integers(1, 1500))
+        x = np.array([_draw_family(rng, rng.choice(["lognormal", "normal", "pareto", "levels"]),
+                                   10.0 ** rng.uniform(-12.0, 0.5),
+                                   0.0 if rng.random() < 0.5 else rng.uniform(-40.0, 40.0), n)
+                      for _ in range(m)])
+        assume(np.all(x > 0.0) and np.all(np.isfinite(x)) and np.all(np.ptp(x, axis=1) > 0.0))
+        lams = std._fit_lambdas(np.log(x))
+        assert lams.tolist() == [fit_lambda_oracle(row) for row in x]
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_grid_scan_evaluates_few_columns(self, monkeypatch, n):
+        # the study's sets: at most 10 of the 101 grid points per row are
+        # evaluated exactly
+        columns = _grid_columns(monkeypatch)
+        for seed in range(3):
+            columns.clear()
+            standardize_set(sample_arb(ArbMeasureSpec(), n, seed))
+            assert 0 < sum(columns) <= 10
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_grid_scan_memory(self, monkeypatch, fallback):
+        # the fit's own peak holds one exact block of the grid, as a full scan
+        # does, plus at most the grid scan's three (m, n) work arrays; a row
+        # that keeps every column is still evaluated in blocks
+        m, n = 5, 10_000
+        measures = sample_arb(ArbMeasureSpec(), n, 0)
+        if fallback:
+            measures[1] = MeasureVector("tied", _MULTI_BLOCK_CASES["n1000-tied-maximum"]
+                                        .repeat(n // 1000))
+        fit, rises = std._fit_lambdas, []
+
+        def traced(logx):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lams = fit(logx)
+            rises.append(tracemalloc.get_traced_memory()[1] - start)
+            return lams
+
+        monkeypatch.setattr(std, "_fit_lambdas", traced)
+        columns = _grid_columns(monkeypatch)
+        tracemalloc.start()
+        try:
+            standardize_set(measures)
+        finally:
+            tracemalloc.stop()
+        assert (sum(columns) == BOX_COX_GRID.size) == fallback
+        assert rises[0] <= 8 * (3 * m * n + max(_GRID_BUDGET, m * n))
 
     def test_rows_finish_at_different_steps(self, monkeypatch):
         # grid peaks at -5 and +5 leave a 0.1-wide bracket, interior peaks a

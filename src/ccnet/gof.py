@@ -98,19 +98,32 @@ def ks_statistic(sample) -> float:
     return float(_ks_rows(_phi(np.sort(x))[None, :])[0])
 
 
-def _ks_rows(cdf_rows: np.ndarray) -> np.ndarray:
+def _ks_rows(cdf_rows: np.ndarray, steps: tuple[np.ndarray, np.ndarray] | None = None,
+             work: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """KS statistics of rows of sorted CDF values (uniform under the null).
 
-    Consumes its argument: ``cdf_rows`` is overwritten, so that a slab needs
-    one buffer of its size besides itself.
+    Consumes its argument: ``cdf_rows`` is overwritten.  ``steps`` holds
+    i/n and (i - 1)/n, ``work`` is a buffer of the rows' shape and ``out``
+    receives one statistic per row; each is built here when not given, so a
+    caller that passes all three reduces a slab without allocating.
     """
-    n = cdf_rows.shape[1]
-    i = np.arange(1, n + 1)
+    up, down = steps if steps is not None else _ks_steps(cdf_rows.shape[1])
+    if work is None:
+        work = np.empty_like(cdf_rows)
     # i/n - u and u - (i-1)/n sum to 1/n > 0 and rounding is monotone, so the
-    # larger of the two is the larger absolute value: no abs pass is needed
-    upper = np.max(i / n - cdf_rows, axis=1)
-    lower = np.max(np.subtract(cdf_rows, (i - 1) / n, out=cdf_rows), axis=1)
-    return np.maximum(upper, lower)
+    # larger of the two is the larger absolute value: no abs pass is needed.
+    # max is exact, so the larger one per value, then the row max, equals the
+    # larger of the two row maxima
+    np.subtract(up, cdf_rows, out=work)
+    np.subtract(cdf_rows, down, out=cdf_rows)
+    np.maximum(work, cdf_rows, out=cdf_rows)
+    return np.max(cdf_rows, axis=1, out=out)
+
+
+def _ks_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The empirical CDF's steps at a sample of size n: i/n and (i - 1)/n, i = 1..n."""
+    i = np.arange(1, n + 1)
+    return i / n, (i - 1) / n
 
 
 def _usable_cores() -> int:
@@ -134,7 +147,9 @@ def ks_null_table(n: int, replicates: int,
     Replicate chunks of about 4M draws use split seeds, so the table does not
     depend on how the chunks are scheduled: a table of several chunks runs
     them on one thread per usable core.  Each chunk draws, sorts and reduces
-    its rows in slabs of about 64K draws, so a worker holds about one slab.
+    its rows in slabs of about 64K draws, each drawn into the chunk's one
+    slab buffer and reduced in place next to one work buffer, straight into
+    the table; the CDF steps i/n and (i - 1)/n are built once per table.
     """
     if n < 1:
         raise ValueError(f"KS null table needs a sample size n of at least 1, got {n}")
@@ -144,17 +159,20 @@ def ks_null_table(n: int, replicates: int,
     n_chunks = math.ceil(replicates / rows_per_chunk)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     null = np.empty(replicates)
+    steps = _ks_steps(n)
 
     def fill(k: int, child: np.random.SeedSequence) -> None:
         # successive draws continue the chunk's stream, so the slabs hold
         # exactly the rows of one whole-chunk draw
         rng = np.random.default_rng(child)
-        stop = min((k + 1) * rows_per_chunk, replicates)
-        for lo in range(k * rows_per_chunk, stop, rows_per_slab):
+        start, stop = k * rows_per_chunk, min((k + 1) * rows_per_chunk, replicates)
+        buf = np.empty((min(rows_per_slab, stop - start), n))
+        work = np.empty_like(buf)
+        for lo in range(start, stop, rows_per_slab):
             hi = min(lo + rows_per_slab, stop)
-            slab = rng.random((hi - lo, n))
+            slab = rng.random(out=buf[:hi - lo])
             slab.sort(axis=1)
-            null[lo:hi] = _ks_rows(slab)
+            _ks_rows(slab, steps, work[:hi - lo], null[lo:hi])
 
     children = root.spawn(n_chunks)
     workers = min(n_chunks, _usable_cores())

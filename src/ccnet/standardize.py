@@ -13,10 +13,14 @@ The recipe, applied to a positive-valued raw measure:
 Every parameter is recorded so the chain inverts exactly.  ``standardize_set``
 runs the recipe on a set of equal-length measures at once, fitting all their
 exponents in one lock-step pass; ``standardize`` is its one-measure call.
+The Box-Cox profile log-likelihood is concave in the exponent, so the fit
+evaluates a unit-step grid on [-5, 5] and narrows the width-2 bracket around
+its peak by a fixed number of golden-section steps.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,19 +31,14 @@ from .measures import MeasureVector
 LAMBDA_MIN = -5.0
 LAMBDA_MAX = 5.0
 LAMBDA_TOL = 1e-4
-_GRID_STEP = 0.1
+_GRID_STEP = 1.0
 _INVPHI = (5.0**0.5 - 1.0) / 2.0
+# golden-section steps that narrow a bracket of width 2 * _GRID_STEP below LAMBDA_TOL
+_GOLDEN_STEPS = math.ceil(math.log(LAMBDA_TOL / (2 * _GRID_STEP)) / math.log(_INVPHI))
 # element budget of one block of the lambda-grid array (512 KB of float64)
 _GRID_BUDGET = 1 << 16
 # pre-shift target: minimum lands this fraction of the range above zero
 _SHIFT_MARGIN = 1e-6
-# unit roundoff of float64
-_U = np.finfo(float).eps / 2
-# error allowed to one exp, expm1 or log call, in ulp
-_LIBM_ULPS = 4.0
-# the grid scan's bound keeps first-order terms only; this factor covers the
-# dropped higher-order ones while _MARGIN * delta <= 1/2
-_MARGIN = 8.0
 
 
 class DegenerateSampleError(ValueError):
@@ -101,10 +100,12 @@ def box_cox_inverse(y, lam: float | None):
     elif lam == 0.0:
         out = np.exp(y)
     else:
-        base = lam * y + 1.0
-        if np.any(base <= 0.0):
+        # log1p keeps ln(1 + lam y) exact to rounding for an exponent near 0,
+        # where 1 + lam y would round to 1
+        t = lam * y
+        if np.any(t <= -1.0):
             raise InversionError("value outside the invertible Box-Cox domain")
-        out = np.exp(np.log(base) / lam)
+        out = np.exp(np.log1p(t) / lam)
     return float(out) if out.ndim == 0 else out
 
 
@@ -123,148 +124,64 @@ def box_cox_loglik(xs, lam: float) -> float:
 def fit_lambda(xs) -> float:
     """Maximum-likelihood Box-Cox exponent over [-5, 5], to 1e-4 absolute.
 
-    A 0.1-step grid scan locates the peak (ties resolved towards the smallest
-    exponent), then golden-section refinement narrows the bracket.  Robust
-    against the flat likelihoods of near-symmetric samples.  On a large
-    sample a bounded proxy first rules out the grid points that cannot hold
-    the peak, and only the rest are evaluated; the peak is the full scan's.
-    A one-row ``_fit_lambdas`` call.
+    The sample is rescaled to mean one first, as ``standardize`` fits it:
+    the maximiser does not depend on scale, since the log-likelihood of c x
+    is that of x minus n ln c, but far from one the computed likelihood
+    loses precision and can peak in the wrong place.  A one-row
+    ``_fit_lambdas`` call.
     """
-    return float(_fit_lambdas(_log_sample(xs)[None])[0])
+    xs = np.asarray(xs, dtype=float)
+    _log_sample(xs)  # rejects a short, constant or non-positive sample before rescaling
+    return float(_fit_lambdas(_log_sample(xs / xs.mean())[None])[0])
 
 
 def _fit_lambdas(logx: np.ndarray) -> np.ndarray:
     """``fit_lambda`` of every row of x, given as ln x (m, n), in one lock-step pass.
 
-    A set whose grid spans more than one block of ``_GRID_BUDGET`` elements
-    first scans it with ``_grid_candidates``, which rules out every column
-    that provably cannot hold its row's first maximum, or keeps all 101 of
-    an ill-conditioned row; a one-block set keeps every column.  Only the
-    kept columns are evaluated, all rows at once in blocks of about
-    ``_GRID_BUDGET`` elements, so the grid peak is the full scan's and every
-    value is bit-equal to it.  The golden-section steps then run
-    in lock step, each row's bracket updated in float64 exactly as a scalar
-    search would, until every bracket is narrower than ``LAMBDA_TOL``.  A
-    row whose bracket is done first is masked out of the remaining updates;
-    its probe is still evaluated with the others', so each step stays one
-    (m, 1, n) array with no row copies.
+    The profile log-likelihood is concave in lam (Kouider & Chen 1995).  In
+    exact arithmetic the variance of the transformed sample is
+    sigma^2(lam) = 1/(2 n^2) sum_ik (I_ik(lam))^2, with
+    I_ik(lam) = (x_i^lam - x_k^lam)/lam = integral of e^(lam u) du from
+    ln x_k to ln x_i.  Each I_ik is a Laplace transform of a positive
+    measure, so it is log-convex (Cauchy-Schwarz), as are its square and the
+    sum of the squares; -(n/2) ln sigma^2 is then concave, and adding the
+    linear (lam - 1) sum(ln x) keeps it so.  On a concave function every
+    point valued above the first maximiser k of a step-h grid lies within
+    [k - h, k + h]: such a point beyond k + h would lift the value at k + h
+    above the value at k, and one below k - h would lift the value at
+    k - h to at least it.
+
+    So an 11-point grid at step 1 is evaluated first, all rows at once in
+    blocks of about ``_GRID_BUDGET`` elements, and its first maximiser
+    taken per row; the width-2 bracket around it, shifted inside [-5, 5],
+    then narrows by the same ``_GOLDEN_STEPS`` golden-section steps in
+    every row, each row's bracket updated in float64 exactly as a scalar
+    search would, until it is narrower than ``LAMBDA_TOL``.  Each step is
+    one (m, 1, n) likelihood evaluation.
     """
     m, n = logx.shape
     slog = np.sum(logx, axis=1)
-    grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _GRID_STEP / 2, _GRID_STEP)
+    grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _GRID_STEP / 2, _GRID_STEP)[None]
     rows = max(1, _GRID_BUDGET // (m * n))
-    if rows < grid.size:
-        keep = _grid_candidates(logx, slog, grid)
-    else:
-        keep = np.ones((m, grid.size), dtype=bool)
-    # each row's kept columns first, in grid order, then as many ruled-out
-    # ones as the row with the most kept columns needs: those fall below the
-    # kept maximum, so argmax still takes the first maximiser; a value does
-    # not depend on the columns that share its call
-    lams = grid[np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]]
-    vals = np.concatenate([_loglik(logx, slog, lams[:, i:i + rows])
-                           for i in range(0, lams.shape[1], rows)], axis=1)
-    peak = lams[np.arange(m), np.argmax(vals, axis=1)]
-
-    a = np.maximum(LAMBDA_MIN, peak - _GRID_STEP)
-    b = np.minimum(LAMBDA_MAX, peak + _GRID_STEP)
+    vals = np.concatenate([_loglik(logx, slog, grid[:, i:i + rows])
+                           for i in range(0, grid.size, rows)], axis=1)
+    a = np.clip(grid[0, np.argmax(vals, axis=1)] - _GRID_STEP,
+                LAMBDA_MIN, LAMBDA_MAX - 2 * _GRID_STEP)
+    b = a + 2 * _GRID_STEP
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = _loglik(logx, slog, c[:, None])[:, 0]
     fd = _loglik(logx, slog, d[:, None])[:, 0]
-    live = b - a > LAMBDA_TOL
-    while live.any():
+    for _ in range(_GOLDEN_STEPS):
         left = fc >= fd  # the peak lies in [a, d]: c becomes the new d
-        lo, hi = live & left, live & ~left
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        right = ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
         probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
         f = _loglik(logx, slog, probe[:, None])[:, 0]
-        c[lo], fc[lo] = probe[lo], f[lo]
-        d[hi], fd[hi] = probe[hi], f[hi]
-        live = b - a > LAMBDA_TOL
+        c[left], fc[left] = probe[left], f[left]
+        d[right], fd[right] = probe[right], f[right]
     return (a + b) / 2.0
-
-
-def _grid_candidates(logx: np.ndarray, slog: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Grid columns that may hold each row's first maximum, as an (m, grid) mask.
-
-    A proxy log-likelihood replaces ``_loglik`` at every grid point but the
-    one nearest 0 (-1.8e-14), which is always kept.  The proxy builds
-    x^(j h), h = 0.1, by chained multiplication with exp(+-h ln x), so each
-    value costs two ``exp`` calls instead of 101 ``expm1`` calls; one step
-    serves all rows, and the loop keeps only the variances.  Since the
-    variance of (x^lam - 1)/lam is var(x^lam)/lam^2, the proxy is
-    (lam - 1) sum(ln x) - (n/2) ln var(x^(j h)) + n ln|lam|.
-
-    Each (row, column) gets a bound on |proxy - exact|, the exact value
-    being what ``_loglik`` computes, rounding included.  Both sample
-    variances are computed from values whose errors are bounded below, and
-    the sample standard deviation moves by at most the RMS of the errors of
-    its values, so the two variances stay within a factor (1 +- delta)^2 of
-    each other and the log-likelihoods within -n ln(1 - delta).  A column is
-    kept when its proxy plus bound reaches its row's best proxy minus bound:
-    every other column is provably below some column's exact value.  A
-    column whose bound cannot be derived (relative error delta too large,
-    a variance that may overflow or fall below the normal range) is kept
-    and sets no threshold, so an ill-conditioned row keeps every column.
-    """
-    m, n = logx.shape
-    half = grid.size // 2
-    steps = np.arange(grid.size) - half  # grid[k] is steps[k] * h up to an offset
-    var = np.full((m, grid.size), np.nan)
-    base, power, dev = np.empty_like(logx), np.empty_like(logx), np.empty_like(logx)
-    with np.errstate(all="ignore"):
-        for sign in (1, -1):
-            np.multiply(logx, sign * _GRID_STEP, out=base)
-            np.exp(base, out=base)
-            power.fill(1.0)
-            for j in range(1, half + 1):
-                power *= base
-                np.subtract(power, (power.sum(axis=1) / n)[:, None], out=dev)
-                var[:, half + sign * j] = np.einsum("ij,ij->i", dev, dev) / n
-
-        # every term is first order in the unit roundoff u; each exp, expm1
-        # or log call is allowed _LIBM_ULPS ulp (2u each) of error
-        u, libm = _U, 2.0 * _LIBM_ULPS
-        lam, j = grid, np.abs(steps)
-        lo, hi = logx.min(axis=1, keepdims=True), logx.max(axis=1, keepdims=True)
-        big = np.maximum(-lo, hi)                       # max |ln x|
-        lnp = np.maximum(lam * lo, lam * hi)
-        top = np.exp(lnp)                               # max x^lam
-        # proxy, per value relative to x^lam: u h |ln x| from rounding h ln x,
-        # libm from exp, u from each of the j - 1 multiplications, and the
-        # offset lam - j h, computed exactly up to the rounding of j h
-        offset = np.abs(lam - steps * _GRID_STEP) + u * np.abs(steps * _GRID_STEP)
-        err = (j * u * (_GRID_STEP * big + libm + 1.0) + offset * big) * top
-        # exact path, per value in units of x^lam: u |lam ln x| x^lam from
-        # rounding lam ln x, then libm from expm1 and u from dividing by lam,
-        # both relative to |x^lam - 1| <= x^lam + 1: the cancellation when
-        # (x^lam - 1)/lam sits near -1/lam
-        err += u * (top * np.abs(lam) * big + (libm + 1.0) * (top + 1.0))
-        # each path's rounded mean, off by at most (n - 1) u mean|value| + u
-        # |mean|, shifts every deviation alike
-        err += 2.0 * n * u * (2.0 * top + 1.0)
-        # the relative terms, per path: u from rounding each deviation, and
-        # (n + 2) u on the variance from the squares, their sum (n
-        # non-negative terms in any order) and the division by n; err is
-        # taken against sd/2, below either path's RMS deviation
-        delta = 2.0 * err / np.sqrt(var) + (n + 8) * u
-        a = (lam - 1.0) * slog[:, None]
-        proxy = a - 0.5 * n * np.log(var) + n * np.log(np.abs(lam))
-        # rounding of the two log-likelihood expressions themselves
-        slack = 16.0 * u * (np.abs(a) + n * (np.abs(np.log(var))
-                                             + 2.0 * np.abs(np.log(np.abs(lam))) + 2.0))
-        bound = -n * np.log1p(-_MARGIN * delta) + _MARGIN * slack
-        # no overflow in either path's squared deviations (|lam| >= 0.1), and
-        # any underflow in them costs below u^2 of the variance
-        ok = ((_MARGIN * delta <= 0.5)
-              & (lnp <= 0.5 * (np.log(np.finfo(float).max) - np.log(n)) - 5.0)
-              & (var > n * np.finfo(float).tiny / u))
-        ok[:, half] = False  # no proxy: always kept, sets no threshold
-        upper = np.where(ok, proxy + bound, np.inf)
-        lower = np.where(ok, proxy - bound, -np.inf)
-    return upper >= lower.max(axis=1, keepdims=True)
 
 
 def _log_sample(xs) -> np.ndarray:
@@ -348,7 +265,9 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
 
     The set is one (m, n) array: pre-shift, mean scale, Box-Cox fit,
     skewness test and final moments each run on all rows at once, and the
-    exponents are fitted in one lock-step pass.  Row by row the arithmetic
+    exponents are fitted in one lock-step pass (``_fit_lambdas``: one
+    unit-step grid, then golden-section steps that every row takes
+    together).  Row by row the arithmetic
     is the one-measure recipe's, so each result equals ``standardize`` of
     that measure bit for bit.  An empty set, unequal lengths, and a constant
     or too-short measure (the first in order) are rejected before any fit,

@@ -208,17 +208,18 @@ def box_cox_loglik_oracle(xs: np.ndarray, lam: float) -> float:
     return float(ll) if np.isfinite(ll) else -np.inf
 
 
-BOX_COX_GRID = np.arange(-5.0, 5.0 + 0.05, 0.1)
+# the fit's coarse grid: unit steps on [-5, 5]
+BOX_COX_GRID = np.arange(-5.0, 5.0 + 0.5, 1.0)
 
 
 def fit_lambda_oracle(xs: np.ndarray) -> float:
-    """Box-Cox exponent by a scalar scan of the 0.1-step grid on [-5, 5]
-    (first maximiser wins), then golden-section search to 1e-4."""
+    """Box-Cox exponent of a sample as given (no rescaling): a scalar scan of
+    the unit-step grid on [-5, 5] (first maximiser wins), then golden-section
+    search to 1e-4 on the width-2 bracket around it, shifted inside [-5, 5]."""
     invphi = (5.0**0.5 - 1.0) / 2.0
     vals = [box_cox_loglik_oracle(xs, float(lam)) for lam in BOX_COX_GRID]
-    k = int(np.argmax(vals))
-    a = max(-5.0, float(BOX_COX_GRID[k]) - 0.1)
-    b = min(5.0, float(BOX_COX_GRID[k]) + 0.1)
+    a = min(max(-5.0, float(BOX_COX_GRID[int(np.argmax(vals))]) - 1.0), 3.0)
+    b = a + 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = box_cox_loglik_oracle(xs, c)

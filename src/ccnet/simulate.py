@@ -154,11 +154,11 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
     error has standard deviation at most 1/(2 sqrt(replicates)).  Samples
     are seeded through spawn keys of (size, realization, stream) and each
     size's null table through the key (size,), so results are bit-identical
-    for a given seed and independent of evaluation order.  Each size's table
-    is drawn on a side thread while that size's composites are built on the
-    calling thread, one table at a time and in size order; its bytes do not
-    depend on that.  The default sampler is ``sample_arb`` with the default
-    ``ArbMeasureSpec``.
+    for a given seed and independent of evaluation order.  Every size's
+    table is requested, after that size's first sample, before any composite
+    is built; one side thread draws them in size order while the calling
+    thread builds the composites, and an error drops those not yet started.
+    The default sampler is ``sample_arb`` with the default ``ArbMeasureSpec``.
     """
     sizes = [int(n) for n in sizes]
     if not sizes:
@@ -179,16 +179,14 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
         return sampler(n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0)))
 
     rows = []
-    # one side thread draws each size's table while the calling thread builds
-    # that size's composites; the draw, the sort and the ufuncs release the
-    # GIL.  Leaving the block joins the thread, also when an error is raised.
-    with ThreadPoolExecutor(1) as side:
-        for n in sizes:
-            # the first sample comes before the table, so a size the sampler
-            # rejects fails before the table is drawn
-            first = draw(n, 0)
-            table = side.submit(ks_null_table, n, replicates,
-                                np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+    side = ThreadPoolExecutor(1)
+    try:
+        # a size the sampler rejects fails before its table is requested;
+        # the table's draw, sort and ufuncs release the GIL
+        requests = [(n, draw(n, 0), side.submit(
+            ks_null_table, n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,))))
+            for n in sizes]
+        for n, first, table in requests:
             comp_stats = np.empty(stat_realizations)
             null_stats = np.empty(stat_realizations)
             observed = []  # the first p_realizations statistics, ranked below
@@ -196,13 +194,10 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
                 stat = ks_statistic(composite_scores(first if r == 0 else draw(n, r)))
                 if r < stat_realizations:
                     comp_stats[r] = stat
-                    null_draw = np.random.default_rng(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 2))
-                    ).standard_normal(n)
-                    null_stats[r] = ks_statistic(null_draw)
+                    null_stats[r] = ks_statistic(np.random.default_rng(np.random.SeedSequence(
+                        entropy=seed, spawn_key=(n, r, 2))).standard_normal(n))
                 if r < p_realizations:
                     observed.append(stat)
-            # one table in flight: the next size's is requested after this one
             null = table.result()
             p_values = np.array([ks_rank(o, null, seed).p_value for o in observed])
             rows.append(SizeResult(
@@ -211,6 +206,8 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
                 **_band("comp_ks", comp_stats),
                 **_band("null_ks", null_stats),
             ))
+    finally:  # joins the side thread, also on an error
+        side.shutdown(cancel_futures=True)
     return StudyResult(tuple(rows), p_realizations, stat_realizations, replicates, seed)
 
 

@@ -12,15 +12,12 @@ The recipe, applied to a positive-valued raw measure:
 
 Every parameter is recorded so the chain inverts exactly.  ``standardize_set``
 runs the recipe on a set of equal-length measures at once, fitting all their
-exponents in one lock-step pass; ``standardize`` is its one-measure call.
-The Box-Cox profile log-likelihood is concave in the exponent, so the fit
-evaluates a unit-step grid on [-5, 5] and narrows the width-2 bracket around
-its peak by a fixed number of golden-section steps.
+exponents in lock step by safeguarded Newton steps on the concave likelihood;
+``standardize`` is its one-measure call.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,13 +27,13 @@ from .measures import MeasureVector
 
 LAMBDA_MIN = -5.0
 LAMBDA_MAX = 5.0
-LAMBDA_TOL = 1e-4
-_GRID_STEP = 1.0
-_INVPHI = (5.0**0.5 - 1.0) / 2.0
-# golden-section steps that narrow a bracket of width 2 * _GRID_STEP below LAMBDA_TOL
-_GOLDEN_STEPS = math.ceil(math.log(LAMBDA_TOL / (2 * _GRID_STEP)) / math.log(_INVPHI))
-# element budget of one block of the lambda-grid array (512 KB of float64)
-_GRID_BUDGET = 1 << 16
+# a row of the fit stops once its step is below this
+_STEP_TOL = 1e-6
+# halving the width-5 bracket takes 23 steps to pass _STEP_TOL; the cap
+# leaves as many again for Newton steps that narrow it less
+_MAX_STEPS = 46
+# below this |lam| the derivatives of the transform come from its series
+_SERIES = 1e-5
 # pre-shift target: minimum lands this fraction of the range above zero
 _SHIFT_MARGIN = 1e-6
 
@@ -113,118 +110,123 @@ def box_cox_loglik(xs, lam: float) -> float:
     """Profile log-likelihood of the Box-Cox exponent (Box & Cox 1964).
 
     (lam - 1) * sum(ln x_i) - (n/2) * ln( sum((x~_i - mean(x~))^2) / n ), where
-    x~ = box_cox(x, lam).  -inf where the value is not finite: an exponent
-    that overflows, or a variance that rounds to zero, as when every x~ rounds
-    to the same float near -1/lam.
+    x~ = box_cox(x, lam), evaluated as that of x / mean(x) less n ln mean(x):
+    far from one, x^lam keeps almost none of the sample's spread.  -inf
+    where the value is not finite: an exponent that overflows, or a variance
+    that rounds to zero.
     """
-    logx = _log_sample(xs)[None]
-    return float(_loglik(logx, np.sum(logx, axis=1), np.array([lam], dtype=float))[0, 0])
+    logx, c = _mean_one_log(xs)
+    n = logx.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = logx if lam == 0.0 else np.expm1(lam * logx) / lam
+        var = np.sum(np.square(t - t.mean())) / n
+        ll = (lam - 1.0) * np.sum(logx) - 0.5 * n * np.log(var) - n * np.log(c)
+    return float(ll) if np.isfinite(ll) else -np.inf
 
 
 def fit_lambda(xs) -> float:
-    """Maximum-likelihood Box-Cox exponent over [-5, 5], to 1e-4 absolute.
+    """Maximum-likelihood Box-Cox exponent over [-5, 5]: ``_fit_lambdas`` of the
+    sample rescaled to mean one, as ``standardize`` fits it (the maximiser does
+    not depend on scale, but far from one the likelihood loses precision)."""
+    return float(_fit_lambdas(_mean_one_log(xs)[0][None])[0])
 
-    The sample is rescaled to mean one first, as ``standardize`` fits it:
-    the maximiser does not depend on scale, since the log-likelihood of c x
-    is that of x minus n ln c, but far from one the computed likelihood
-    loses precision and can peak in the wrong place.  A one-row
-    ``_fit_lambdas`` call.
-    """
+
+def _mean_one_log(xs) -> tuple[np.ndarray, float]:
+    """ln(x / c) of a valid sample, and c = mean(x)."""
     xs = np.asarray(xs, dtype=float)
-    _log_sample(xs)  # rejects a short, constant or non-positive sample before rescaling
-    return float(_fit_lambdas(_log_sample(xs / xs.mean())[None])[0])
+    _check_sample(xs)
+    box_cox(xs, 0.0)  # rejects a non-positive sample before rescaling
+    c = float(xs.mean())
+    return box_cox(xs / c, 0.0), c
 
 
 def _fit_lambdas(logx: np.ndarray) -> np.ndarray:
-    """``fit_lambda`` of every row of x, given as ln x (m, n), in one lock-step pass.
+    """``fit_lambda`` of every row of x, given as ln x (m, n), in lock step.
 
-    The profile log-likelihood is concave in lam (Kouider & Chen 1995).  In
+    The profile log-likelihood l is concave in lam (Kouider & Chen 1995).  In
     exact arithmetic the variance of the transformed sample is
     sigma^2(lam) = 1/(2 n^2) sum_ik (I_ik(lam))^2, with
     I_ik(lam) = (x_i^lam - x_k^lam)/lam = integral of e^(lam u) du from
     ln x_k to ln x_i.  Each I_ik is a Laplace transform of a positive
     measure, so it is log-convex (Cauchy-Schwarz), as are its square and the
     sum of the squares; -(n/2) ln sigma^2 is then concave, and adding the
-    linear (lam - 1) sum(ln x) keeps it so.  On a concave function every
-    point valued above the first maximiser k of a step-h grid lies within
-    [k - h, k + h]: such a point beyond k + h would lift the value at k + h
-    above the value at k, and one below k - h would lift the value at
-    k - h to at least it.
+    linear (lam - 1) sum(ln x) keeps it so.  So l' falls, and its sign at a
+    point says on which side the maximiser lies.
 
-    So an 11-point grid at step 1 is evaluated first, all rows at once in
-    blocks of about ``_GRID_BUDGET`` elements, and its first maximiser
-    taken per row; the width-2 bracket around it, shifted inside [-5, 5],
-    then narrows by the same ``_GOLDEN_STEPS`` golden-section steps in
-    every row, each row's bracket updated in float64 exactly as a scalar
-    search would, until it is narrower than ``LAMBDA_TOL``.  Each step is
-    one (m, 1, n) likelihood evaluation.
+    A row takes Newton steps lam - l'/l'' from 0 inside the bracket between
+    0 and the edge of [-5, 5] that l'(0) points to; the sign of l' at each
+    point narrows the bracket.  A step that would leave it, or one from a
+    point where l'' is not negative, goes to that edge instead, where a row
+    whose l' still points outwards stops; once the edge is evaluated such
+    steps bisect.  A row stops once its step is below ``_STEP_TOL``.  Each
+    pass runs all m rows in three reused (m, n) buffers.
     """
-    m, n = logx.shape
-    slog = np.sum(logx, axis=1)
-    grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _GRID_STEP / 2, _GRID_STEP)[None]
-    rows = max(1, _GRID_BUDGET // (m * n))
-    vals = np.concatenate([_loglik(logx, slog, grid[:, i:i + rows])
-                           for i in range(0, grid.size, rows)], axis=1)
-    a = np.clip(grid[0, np.argmax(vals, axis=1)] - _GRID_STEP,
-                LAMBDA_MIN, LAMBDA_MAX - 2 * _GRID_STEP)
-    b = a + 2 * _GRID_STEP
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _loglik(logx, slog, c[:, None])[:, 0]
-    fd = _loglik(logx, slog, d[:, None])[:, 0]
-    for _ in range(_GOLDEN_STEPS):
-        left = fc >= fd  # the peak lies in [a, d]: c becomes the new d
-        right = ~left
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        f = _loglik(logx, slog, probe[:, None])[:, 0]
-        c[left], fc[left] = probe[left], f[left]
-        d[right], fd[right] = probe[right], f[right]
-    return (a + b) / 2.0
+    slog, work, lam = np.sum(logx, axis=1), np.empty((3, *logx.shape)), np.zeros(len(logx))
+    d1, d2 = _slopes(logx, slog, lam, work)
+    edge = np.where(d1 > 0.0, LAMBDA_MAX, LAMBDA_MIN)
+    lo, hi = np.minimum(edge, 0.0), np.maximum(edge, 0.0)
+    live, probed = np.ones(lam.size, bool), np.zeros(lam.size, bool)
+    for _ in range(_MAX_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = lam - d1 / d2
+        new = np.where((d2 < 0.0) & (new >= lo) & (new <= hi), new,
+                       np.where(probed, 0.5 * (lo + hi), edge))
+        lam, live = np.where(live, new, lam), live & (np.abs(new - lam) >= _STEP_TOL)
+        if not live.any():
+            break
+        d1, d2 = _slopes(logx, slog, lam, work)
+        probed |= lam == edge
+        live &= ~((lam == edge) & np.where(edge > 0.0, d1 >= 0.0, d1 <= 0.0))
+        # a non-finite l' (an overflow, or a variance rounded to 0) lies far from 0
+        up = np.where(np.isfinite(d1), d1 > 0.0, lam < 0.0)
+        lo = np.where(live & up, lam, lo)
+        hi = np.where(live & ~up, lam, hi)
+    return lam
 
 
-def _log_sample(xs) -> np.ndarray:
-    """ln x of a valid sample; ``box_cox`` at lam = 0 checks it is strictly positive."""
-    xs = np.asarray(xs, dtype=float)
-    _check_sample(xs)
-    return box_cox(xs, 0.0)
+def _slopes(logx: np.ndarray, slog: np.ndarray, lam: np.ndarray,
+            work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l' and l'' of each row of x, given as ln x (m, n), at its exponent lam.
 
-
-def _box_cox_rows(logx: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """box_cox of each row of x, given as ln x (m, n), at each of its exponents.
-
-    ``lams`` is broadcastable to (m, r); the result is one (m, r, n) array.
-    Element by element the arithmetic is that of ``box_cox`` (the lam = 0
-    rows are ln x itself), so every value matches a scalar call bit for bit.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = lams[..., None] * logx[:, None, :]
-        np.expm1(t, out=t)
-        t /= lams[..., None]
-    zero = lams == 0.0
-    if zero.any():
-        np.copyto(t, logx[:, None, :], where=zero[..., None])
-    return t
-
-
-def _loglik(logx: np.ndarray, slog: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Profile log-likelihoods of each row of x at each of its exponents, (m, r).
-
-    ``logx`` is ln x (m, n), ``slog`` its row sums and ``lams`` the exponents,
-    broadcastable to (m, r).  Means and sums run along the contiguous last
-    axis, so every value matches a one-exponent evaluation bit for bit;
-    non-finite values become -inf.
+    With L = ln x, y = expm1(lam L)/lam and x^lam = 1 + lam y:
+    y' = (L x^lam - y)/lam and y'' = (L^2 x^lam - 2 y')/lam, or, where
+    |lam| < ``_SERIES`` and those cancel, y'' = L^3/3, y' = L^2/2 + lam y''
+    and y = L + lam (y' - lam y''/2).  With y, y' centred and S(a b) = sum
+    of a b, l' = sum(L) - n S(y y')/S(y y) and l'' = -n ((S(y' y') +
+    S(y y''))/S(y y) - 2 (S(y y')/S(y y))^2).  ``work`` holds three (m, n)
+    buffers: y, y' and y'' (or L^2 x^lam, whose S(y .) gives S(y y'')).
     """
     n = logx.shape[1]
-    t = _box_cox_rows(logx, lams)
+    y, y1, y2 = work
+    col = lam[:, None]
+    series = np.abs(lam) < _SERIES
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t -= t.mean(axis=2, keepdims=True)
-        np.square(t, out=t)
-        var = np.sum(t, axis=2) / n
-        ll = (lams - 1.0) * slog[:, None] - 0.5 * n * np.log(var)
-    ll[~np.isfinite(ll)] = -np.inf
-    return ll
+        if not series.all():
+            np.expm1(np.multiply(logx, col, out=y), out=y)
+            np.add(y, 1.0, out=y1)  # x^lam
+            y /= col
+            y1 *= logx
+            np.multiply(y1, logx, out=y2)  # L^2 x^lam
+            y1 -= y
+            y1 /= col
+        for i in [slice(None)] if series.all() else np.flatnonzero(series):
+            L, t, a, b, c = logx[i], col[i], y[i], y1[i], y2[i]
+            np.multiply(np.multiply(L, L, out=b), L, out=c)
+            c /= 3.0
+            b *= 0.5
+            b += np.multiply(c, t, out=a)
+            np.multiply(c, -0.5 * t, out=a)
+            a += b
+            a *= t
+            a += L
+        y -= y.mean(axis=1, keepdims=True)
+        y1 -= y1.mean(axis=1, keepdims=True)
+        s_y2, s_y1, s_11, s_yy = (np.multiply(a, b, out=y2).sum(axis=1)
+                                  for a, b in ((y2, y), (y, y1), (y1, y1), (y, y)))
+        # S(y y'') from S(y L^2 x^lam) off the series, as y sums to zero
+        s_y2 = np.where(series, s_y2, (s_y2 - 2.0 * s_y1) / lam)
+        r = s_y1 / s_yy
+        return slog - n * r, -n * ((s_11 + s_y2) / s_yy - 2.0 * r * r)
 
 
 def skewness(xs) -> float:
@@ -265,14 +267,12 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
 
     The set is one (m, n) array: pre-shift, mean scale, Box-Cox fit,
     skewness test and final moments each run on all rows at once, and the
-    exponents are fitted in one lock-step pass (``_fit_lambdas``: one
-    unit-step grid, then golden-section steps that every row takes
-    together).  Row by row the arithmetic
-    is the one-measure recipe's, so each result equals ``standardize`` of
-    that measure bit for bit.  An empty set, unequal lengths, and a constant
-    or too-short measure (the first in order) are rejected before any fit,
-    as is a measure whose spread is too small for the pre-shift to lift its
-    minimum above zero.
+    exponents are fitted in lock step (``_fit_lambdas``).  Row by row the
+    arithmetic is the one-measure recipe's, so each result equals
+    ``standardize`` of that measure bit for bit.  An empty set, unequal
+    lengths, and a constant or too-short measure (the first in order) are
+    rejected before any fit, as is a measure whose spread is too small for
+    the pre-shift to lift its minimum above zero.
     """
     measures = list(measures)
     if not measures:
@@ -283,8 +283,8 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
             raise ValueError(f"measures must have equal lengths: {measures[0].name!r} has "
                              f"{n} values, {m.name!r} has {m.values.size}")
     # work in place where the arithmetic allows: y holds the raw, then the
-    # shifted, then the mean-one rows, and z the transformed, then the output
-    # rows; at n = 10^4 each extra (m, n) array adds to peak memory
+    # shifted, then the mean-one rows, and z their logs, then the transformed,
+    # then the output rows; at n = 10^4 each extra (m, n) array adds to peak memory
     y = np.array([m.values for m in measures], dtype=float)
     _check_sample(y, [m.name for m in measures])
 
@@ -302,10 +302,13 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
     mean_scale = y.mean(axis=1)
     y /= mean_scale[:, None]
 
-    logy = box_cox(y, 0.0)
-    lams = _fit_lambdas(logy)
-    z = _box_cox_rows(logy, lams[:, None])[:, 0]
-    del logy
+    z = box_cox(y, 0.0)
+    lams = _fit_lambdas(z)
+    col, power = lams[:, None], lams[:, None] != 0.0  # lam = 0 keeps ln y, as box_cox does
+    with np.errstate(over="ignore"):
+        np.multiply(z, col, out=z, where=power)
+        np.expm1(z, out=z, where=power)
+        np.divide(z, col, out=z, where=power)
     keep = np.abs(_skewness_rows(z)) < np.abs(_skewness_rows(y))
     z[~keep] = y[~keep]
 

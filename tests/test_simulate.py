@@ -2,6 +2,7 @@ import importlib
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,6 +160,25 @@ class TestStudy:
             gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=3,
                            replicates=2500, seed=6, sampler=sampler)
         assert tables == [50]
+
+    def test_every_table_is_requested_before_the_first_composite(self, monkeypatch):
+        events = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, n, *args):
+                events.append(("table", n))
+                return super().submit(fn, n, *args)
+
+        def composite(measures):
+            events.append(("composite", measures[0].values.size))
+            return composite_scores(measures)
+
+        monkeypatch.setattr(ccnet.simulate, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(ccnet.simulate, "composite_scores", composite)
+        gof_vs_n_study(sizes=(20, 30, 40), p_realizations=2, stat_realizations=2,
+                       replicates=2500, seed=3)
+        assert events == ([("table", n) for n in (20, 30, 40)]
+                          + [("composite", n) for n in (20, 20, 30, 30, 40, 40)])
 
     def test_equals_sequential_recipe(self):
         sizes, p_real, stat_real, reps, seed = (60, 700), 3, 5, 2500, 9

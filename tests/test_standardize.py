@@ -28,11 +28,11 @@ from ccnet import (
     standardize,
     standardize_set,
 )
-from ccnet.standardize import _GRID_BUDGET
 from helpers import (
-    BOX_COX_GRID,
     box_cox_loglik_oracle,
+    box_cox_slopes_oracle,
     fit_lambda_oracle,
+    make_tradelike,
     skewness_oracle,
     standardize_oracle,
 )
@@ -113,6 +113,30 @@ class TestLogLikelihood:
                 ll = box_cox_loglik(xs, float(lam))
                 if np.isfinite(ll):
                     assert ll == pytest.approx(scipy.stats.boxcox_llf(float(lam), xs), rel=1e-10)
+
+    def test_raw_sample_matches_scipy_boxcox_llf(self):
+        # far from one, expm1(lam ln x)/lam keeps almost none of the spread:
+        # evaluated on the raw values this sample read -inf at -5 and -3.75
+        # and -10519.5 at -4.5
+        xs = np.random.default_rng(11).normal(1e5, 1e3, 400)
+        for lam in (-5.0, -4.5, -3.75, 0.0, 1.8, 5.0):
+            assert box_cox_loglik(xs, lam) == pytest.approx(scipy.stats.boxcox_llf(lam, xs),
+                                                            rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-12, -1e-12, 0.7, -2.0])
+    def test_slopes_match_central_differences(self, lam):
+        # l' and l'' of the fit, from the series at and near 0 and from
+        # expm1 elsewhere, against differences of the likelihood itself
+        rng = np.random.default_rng(4)
+        h = 1e-3
+        for xs in _raw_families(rng, 200):
+            logx = np.log(xs / xs.mean())
+            d1, d2 = std._slopes(logx[None], np.sum(logx)[None], np.array([lam]),
+                                 np.empty((3, 1, xs.size)))
+            ll = [box_cox_loglik(xs, lam + k * h) for k in (-1, 0, 1)]
+            assert d1[0] == pytest.approx((ll[2] - ll[0]) / (2 * h), rel=1e-5, abs=1e-6)
+            assert d2[0] == pytest.approx((ll[2] - 2 * ll[1] + ll[0]) / h**2, rel=1e-4)
+            assert (d1[0], d2[0]) == box_cox_slopes_oracle(logx, lam)
 
     def test_optimizer_beats_coarse_grid(self):
         rng = np.random.default_rng(7)
@@ -203,36 +227,52 @@ class TestFitLambda:
 def _oracle_cases():
     rng = np.random.default_rng(11)
     cases = {"n3-minimum": np.array([0.4, 1.1, 1.5])}
-    for n in (648, 649, 662):  # lengths whose grid takes one block
+    for n in (648, 649, 662):
         cases[f"n{n}-lognormal"] = rng.lognormal(0.0, 0.8, n)
     cases["n10000-pareto"] = (rng.pareto(3.0, 10_000) + 1.0) * 100.0
-    # unscaled: part of the grid overflows to -inf
+    # unscaled: the transform at lam = -5 rounds to a constant
     cases["n400-unscaled-normal"] = rng.normal(1e5, 1e3, 400)
-    # a coefficient of variation of 1e-14 flattens the likelihood into exact
-    # ties at its grid maximum
+    # a coefficient of variation of 1e-14 flattens the likelihood: its
+    # slopes are rounding noise
     cases["n50-tied-maximum"] = 1.0 + 1e-14 * np.random.default_rng(0).standard_normal(50)
-    # the largest n whose grid takes one block, the next, and a length whose
-    # grid ends in a short block
-    seam = _GRID_BUDGET // BOX_COX_GRID.size
-    for n in (seam, seam + 1, _GRID_BUDGET // (BOX_COX_GRID.size - 2) + 1):
+    for n in (5957, 5958, 7282):
         cases[f"n{n}-lognormal"] = rng.lognormal(0.0, 0.8, n)
+    # unscaled at e^+-230: x^lam overflows for |lam| above about 3, so the
+    # Newton search meets a non-finite l' below 0 and above it
+    rng = np.random.default_rng(5)
+    cases["n200-huge-normal"] = rng.normal(1e100, 1e98, 200)
+    cases["n200-tiny-normal"] = rng.normal(1e-100, 1e-102, 200)
     return cases
 
 
 _ORACLE_CASES = _oracle_cases()
 
-# tie and overflow cases at a length whose grid spans several blocks when
-# they are fitted as one row of a set of _WIDE rows
+# tie and overflow cases fitted as one row of a set of _WIDE rows
 _MULTI_BLOCK_CASES = {
-    # -inf at lam = -4 and expm1 cancellation elsewhere
+    # a constant transform at lam = -5 and expm1 cancellation elsewhere
     "n1000-unscaled-normal": np.random.default_rng(12).normal(1e5, 1e3, 1000),
     "n1000-tied-maximum": 1.0 + 1e-14 * np.random.default_rng(0).standard_normal(1000),
 }
 _WIDE = 6
 
 
+def _recorded_slopes(monkeypatch):
+    """Record (lam, l', l'') of every ``_slopes`` pass, one tuple per pass."""
+    _slopes = std._slopes
+    passes = []
+
+    def recorded(logx, slog, lam, work):
+        d1, d2 = _slopes(logx, slog, lam, work)
+        passes.append((lam.copy(), d1, d2))
+        return d1, d2
+
+    monkeypatch.setattr(std, "_slopes", recorded)
+    return passes
+
+
 class TestGridOracle:
-    """Bit-equality against the one-call-per-exponent loop in ``helpers``."""
+    """Bit-equality against the scalar oracles in ``helpers``: the
+    likelihood on a 0.1-step exponent grid, and the one-row Newton search."""
 
     @pytest.mark.parametrize("xs", list(_ORACLE_CASES.values()), ids=list(_ORACLE_CASES))
     def test_matches_scalar_loop(self, xs):
@@ -241,17 +281,18 @@ class TestGridOracle:
         assert [box_cox_loglik(xs, float(lam)) for lam in lams] == expected
         assert fit_lambda(xs) == fit_lambda_oracle(xs / xs.mean())
 
-    def test_cases_cover_blocks_overflow_and_ties(self):
-        cases = _ORACLE_CASES
-        rows = [_GRID_BUDGET // len(x) for x in cases.values()]
-        assert any(r >= BOX_COX_GRID.size for r in rows)  # the grid in one block
-        assert any(BOX_COX_GRID.size % r for r in rows if r < BOX_COX_GRID.size)  # a short last block
-        grid = [box_cox_loglik_oracle(cases["n400-unscaled-normal"], float(lam))
-                for lam in BOX_COX_GRID]
-        assert -np.inf in grid and max(grid) > -np.inf
-        grid = np.array([box_cox_loglik_oracle(cases["n50-tied-maximum"], float(lam))
-                         for lam in BOX_COX_GRID])
-        assert np.sum(grid == grid.max()) > 1
+    def test_cases_cover_overflow_and_ties(self, monkeypatch):
+        # between them the cases take every branch of the search: a
+        # non-finite l' on either side of 0, bisection, Newton steps and an
+        # edge
+        passes = _recorded_slopes(monkeypatch)
+        for name in ("n200-huge-normal", "n200-tiny-normal", "n400-unscaled-normal"):
+            std._fit_lambdas(np.log(_ORACLE_CASES[name])[None])
+        lam, d1, _ = (np.concatenate(v) for v in zip(*passes))
+        assert np.any(~np.isfinite(d1) & (lam < 0.0)) and np.any(~np.isfinite(d1) & (lam > 0.0))
+        assert -2.5 in lam and 2.5 in lam
+        assert np.any(np.isfinite(d1) & (lam % 0.0625 != 0.0))
+        assert fit_lambda_oracle(_ORACLE_CASES["n50-tied-maximum"]) == 5.0
 
     def test_non_positive_rejected_once(self):
         with pytest.raises(ValueError, match="strictly positive"):
@@ -402,21 +443,6 @@ def _assert_matches_oracle(measures):
         assert sm.params == ref.params, m.name
 
 
-def _grid_columns(monkeypatch):
-    """Record the number of grid exponents each row gets in each ``_loglik``
-    call that evaluates grid points."""
-    _loglik = std._loglik
-    columns = []
-
-    def recorded(logx, slog, lams):
-        if np.isin(lams, BOX_COX_GRID).all():
-            columns.append(lams.shape[-1])
-        return _loglik(logx, slog, lams)
-
-    monkeypatch.setattr(std, "_loglik", recorded)
-    return columns
-
-
 def _draw_family(rng, family, sd, mu, n):
     """n positive values of one shape, spread sd (relative) around e^mu."""
     z = rng.standard_normal(n)
@@ -449,32 +475,21 @@ class TestStandardizeSet:
         _assert_matches_oracle([MeasureVector("first", rng.lognormal(0.0, 1.0, xs.size)),
                                 MeasureVector(case, xs),
                                 MeasureVector("last", rng.exponential(1.0, xs.size))])
-        # the raw samples themselves tie and overflow on the grid; fit them
+        # the raw samples themselves have flat or non-finite slopes; fit them
         # as a row of one lock-step pass of _WIDE rows, next to samples that
-        # do neither
+        # have neither
         rows = np.stack([rng.lognormal(0.0, 0.8, xs.size) for _ in range(_WIDE - 2)]
                         + [xs, rng.lognormal(0.0, 0.8, xs.size)])
         lams = std._fit_lambdas(np.log(rows))
         assert lams.tolist() == [fit_lambda_oracle(row) for row in rows]
 
-    def test_multi_block_cases_tie_and_overflow(self):
-        cases = _MULTI_BLOCK_CASES
-        assert all(_WIDE * x.size * BOX_COX_GRID.size > _GRID_BUDGET for x in cases.values())
-        grid = [box_cox_loglik_oracle(cases["n1000-unscaled-normal"], float(lam))
-                for lam in BOX_COX_GRID]
-        assert -np.inf in grid and max(grid) > -np.inf
-        grid = np.array([box_cox_loglik_oracle(cases["n1000-tied-maximum"], float(lam))
-                         for lam in BOX_COX_GRID])
-        assert np.sum(grid == grid.max()) > 1
-
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_grid_scan_property_matches_oracle(self, m, seed):
-        # lengths past the one-block seam, where the grid takes several
-        # blocks; spreads from 1e-12 to 3, about the mean-one scale that
+        # long rows, spreads from 1e-12 to 3, about the mean-one scale that
         # standardize_set fits at or far from it
         rng = np.random.default_rng(seed)
-        n = _GRID_BUDGET // (m * BOX_COX_GRID.size) + int(rng.integers(1, 1500))
+        n = int(rng.integers(2000, 8000))
         x = np.array([_draw_family(rng, rng.choice(["lognormal", "normal", "pareto", "levels"]),
                                    10.0 ** rng.uniform(-12.0, 0.5),
                                    0.0 if rng.random() < 0.5 else rng.uniform(-40.0, 40.0), n)
@@ -484,11 +499,9 @@ class TestStandardizeSet:
         assert lams.tolist() == [fit_lambda_oracle(row) for row in x]
 
     @pytest.mark.parametrize("tied", [False, True])
-    def test_grid_scan_memory(self, monkeypatch, tied):
-        # the fit's own peak holds one block of the grid plus O(m n): at n =
-        # 10^4 a block is one grid column of every row, and each
-        # golden-section step one (m, n) array; a row whose likelihood ties
-        # on the grid takes the same path
+    def test_fit_memory(self, monkeypatch, tied):
+        # the fit's own peak is its three (m, n) work buffers plus O(m); a
+        # row whose likelihood is flat takes the same path
         m, n = 5, 10_000
         measures = sample_arb(ArbMeasureSpec(), n, 0)
         if tied:
@@ -504,18 +517,46 @@ class TestStandardizeSet:
             return lams
 
         monkeypatch.setattr(std, "_fit_lambdas", traced)
-        columns = _grid_columns(monkeypatch)
         tracemalloc.start()
         try:
             standardize_set(measures)
         finally:
             tracemalloc.stop()
-        assert columns == [1] * BOX_COX_GRID.size
-        assert rises[0] <= 8 * (max(_GRID_BUDGET, m * n) + m * n)
+        assert rises[0] <= 8 * 3 * m * n + 8192 * m
 
-    def test_edge_peaks_take_a_shifted_bracket(self):
-        # grid peaks at -5 and +5 take the brackets [-5, -3] and [3, 5], so
-        # their fits end within one tolerance of the edge, as the oracle's do
+    def test_fit_passes_on_study_and_analyze_sets(self, monkeypatch):
+        # the study's five-measure sets at its three sizes, and analyze's
+        # eight measures of 20-node graphs: at most 10 passes per fit
+        passes = _recorded_slopes(monkeypatch)
+        counts = []
+        sets = [sample_arb(ArbMeasureSpec(), n, np.random.SeedSequence(entropy=0,
+                                                                       spawn_key=(n, r, 0)))
+                for n in (100, 1_000, 10_000) for r in range(4)]
+        sets += [standard_measure_set(make_tradelike(20, seed)) for seed in range(12)]
+        for measures in sets:
+            passes.clear()
+            standardize_set(measures)
+            counts.append(len(passes))
+        assert max(counts) <= 10
+
+    def test_row_near_zero_takes_the_series_in_a_mixed_pass(self, monkeypatch):
+        # a log-symmetric sample tilted so that its maximiser lies within
+        # _SERIES of 0, fitted next to rows whose iterates do not
+        passes = _recorded_slopes(monkeypatch)
+        rng = np.random.default_rng(1)
+        logx = rng.standard_normal(500)
+        logx = np.concatenate([logx, -logx])
+        rows = np.stack([np.exp(logx + 3e-6 * logx**2), rng.lognormal(0.0, 1.0, 1000) + 1.0,
+                         rng.exponential(1.0, 1000)])
+        lams = std._fit_lambdas(np.log(rows))
+        assert 0.0 < abs(lams[0]) < std._SERIES
+        near = [np.abs(lam) < std._SERIES for lam, _, _ in passes]
+        assert any(row.any() and not row.all() for row in near)
+        assert lams.tolist() == [fit_lambda_oracle(row) for row in rows]
+
+    def test_edge_peaks_land_on_the_edge(self):
+        # a row whose l' still points outwards at the edge on its side of 0
+        # takes the edge itself, as the oracle does
         rng = np.random.default_rng(3)
         n = 20
         measures = [MeasureVector("right", 1.0 / (30.0 - rng.exponential(1.0, n))),
@@ -523,7 +564,7 @@ class TestStandardizeSet:
                     MeasureVector("left", 30.0 - rng.exponential(1.0, n)),
                     MeasureVector("exp", rng.exponential(1.0, n), bigger_is_better=False)]
         lams = [sm.params.box_cox_lambda for sm in standardize_set(measures)]
-        assert lams[0] < -5.0 + 1e-4 and lams[2] > 5.0 - 1e-4
+        assert lams[0] == -5.0 and lams[2] == 5.0
         assert abs(lams[1]) < 4.0 and abs(lams[3]) < 4.0
         _assert_matches_oracle(measures)
 
@@ -554,7 +595,7 @@ class TestStandardizeSetRejects:
         def boom(*args):
             raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(std, "_loglik", boom)
+        monkeypatch.setattr(std, "_slopes", boom)
 
     def test_empty_set(self):
         with pytest.raises(ValueError, match="at least one measure"):

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gof import _phi, ks_statistic
+from .gof import _ks_steps, _phi, _sorted_sample
 from .io import AnalysisReport
 
 _PALETTE = (
@@ -53,21 +53,16 @@ def render_ngfp(reports: Sequence[AnalysisReport], node_label: str) -> str:
 
     # collect stacks: per report, per generation column, list of (name, height)
     columns: list[tuple[str, list[list[tuple[str, float]]]]] = []
-    color_order: list[str] = []
     for r in reports:
         node_idx = r.labels.index(node_label)
-        gens = r.generations.generations()
-        stacks = []
-        for gen in gens:
-            seg = [(g.name, float(g.display_heights[node_idx]))
+        stacks = [[(g.name, float(g.display_heights[node_idx]))
                    for g in r.generations.by_generation(gen)]
-            for name, _ in seg:
-                if name not in color_order:
-                    color_order.append(name)
-            stacks.append(seg)
+                  for gen in r.generations.generations()]
         label = str(r.year) if r.year is not None else r.source
         columns.append((label, stacks))
-    color = {name: _PALETTE[i % len(_PALETTE)] for i, name in enumerate(color_order)}
+    # colours by first appearance in column order, which is the nodes' order
+    names = dict.fromkeys(g.name for r in reports for g in r.generations.nodes)
+    color = {name: _PALETTE[i % len(_PALETTE)] for i, name in enumerate(names)}
 
     n_cols = max(len(stacks) for _, stacks in columns)
     bar_w = 16.0
@@ -136,9 +131,8 @@ def render_ngfp(reports: Sequence[AnalysisReport], node_label: str) -> str:
 
 def render_cdf_overlay(scores: Sequence[float]) -> str:
     """Empirical CDF steps with the standard-normal CDF and the KS gap marked."""
-    x = np.sort(np.asarray(scores, dtype=float))
+    x = _sorted_sample(scores)  # the KS statistic's check: n >= 5 and finite
     n = x.size
-    d_stat = ks_statistic(x)  # enforces n >= 5 and finiteness
 
     width, height = 560.0, 380.0
     ml, mr, mt, mb = 56.0, 20.0, 30.0, 42.0
@@ -187,17 +181,18 @@ def render_cdf_overlay(scores: Sequence[float]) -> str:
     step.append(f"L {_fmt(sx(x_hi))} {_fmt(sy(1.0))}")
     parts.append(f'<path d="{" ".join(step)}" fill="none" stroke="#1f77b4" stroke-width="1.4"/>')
 
-    # KS gap marker at the attaining order statistic
+    # KS gap marker at the attaining order statistic; as in gof._ks_rows the
+    # two gaps sum to 1/n > 0, so the larger one is the larger absolute value
     z = _phi(x)
-    i = np.arange(1, n + 1)
-    gaps = np.maximum(np.abs(i / n - z), np.abs(z - (i - 1) / n))
+    up, down = _ks_steps(n)
+    gaps = np.maximum(up - z, z - down)
     k = int(np.argmax(gaps))
-    emp = (i[k] / n) if abs(i[k] / n - z[k]) >= abs(z[k] - (i[k] - 1) / n) else (i[k] - 1) / n
+    emp = up[k] if up[k] - z[k] >= z[k] - down[k] else down[k]
     gx = sx(float(x[k]))
     parts.append(f'<line x1="{_fmt(gx)}" y1="{_fmt(sy(float(z[k])))}" x2="{_fmt(gx)}" '
                  f'y2="{_fmt(sy(float(emp)))}" stroke="#d62728" stroke-width="2" '
                  f'stroke-dasharray="3,2"/>')
     parts.append(f'<text x="{_fmt(width - mr)}" y="{_fmt(mt + 12)}" {_FONT} font-size="11" '
-                 f'text-anchor="end">D = {d_stat:.4f}, n = {n}</text>')
+                 f'text-anchor="end">D = {gaps[k]:.4f}, n = {n}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -88,14 +88,19 @@ class GoFReport:
         return self.decision == "accept"
 
 
-def ks_statistic(sample) -> float:
-    """Two-sided KS distance between the empirical CDF and the standard normal CDF."""
+def _sorted_sample(sample, test: str = "KS statistic", min_size: int = 5) -> np.ndarray:
+    """``sample`` sorted as floats, once it is 1-D, finite and ``min_size`` long."""
     x = np.asarray(sample, dtype=float)
-    if x.ndim != 1 or x.size < 5:
-        raise ValueError("KS statistic needs a 1-D sample of at least 5 values")
+    if x.ndim != 1 or x.size < min_size:
+        raise ValueError(f"{test} needs a 1-D sample of at least {min_size} values")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
-    return float(_ks_rows(_phi(np.sort(x))[None, :])[0])
+    return np.sort(x)
+
+
+def ks_statistic(sample) -> float:
+    """Two-sided KS distance between the empirical CDF and the standard normal CDF."""
+    return float(_ks_rows(_phi(_sorted_sample(sample))[None, :])[0])
 
 
 def _ks_rows(cdf_rows: np.ndarray, steps: tuple[np.ndarray, np.ndarray] | None = None,
@@ -157,14 +162,12 @@ def ks_null_table(n: int, replicates: int,
     rows_per_chunk = max(1, _CHUNK_DRAWS // n)
     rows_per_slab = max(1, _BLOCK // n)
     n_chunks = math.ceil(replicates / rows_per_chunk)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     null = np.empty(replicates)
     steps = _ks_steps(n)
 
-    def fill(k: int, child: np.random.SeedSequence) -> None:
+    def fill(k: int, rng: np.random.Generator) -> None:
         # successive draws continue the chunk's stream, so the slabs hold
         # exactly the rows of one whole-chunk draw
-        rng = np.random.default_rng(child)
         start, stop = k * rows_per_chunk, min((k + 1) * rows_per_chunk, replicates)
         buf = np.empty((min(rows_per_slab, stop - start), n))
         work = np.empty_like(buf)
@@ -174,20 +177,20 @@ def ks_null_table(n: int, replicates: int,
             slab.sort(axis=1)
             _ks_rows(slab, steps, work[:hi - lo], null[lo:hi])
 
-    children = root.spawn(n_chunks)
+    rngs = np.random.default_rng(seed).spawn(n_chunks)
     workers = min(n_chunks, _usable_cores())
     if workers == 1:
         # on the calling thread: on a 2-core host a one-worker pool for the
         # one-chunk tables analyze draws raised peak RSS by about 1.5 MB and
         # the median analyze round's time by 9-16%
-        for k, child in enumerate(children):
-            fill(k, child)
+        for k, rng in enumerate(rngs):
+            fill(k, rng)
     else:
         # the draw, the sort and the ufuncs release the GIL; each chunk
         # writes only its own slice of the table.  Reading every result
         # raises a worker's error here.
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, range(n_chunks), children))
+            list(pool.map(fill, range(n_chunks), rngs))
     null.sort()
     null.flags.writeable = False
     return null
@@ -232,13 +235,7 @@ def anderson_darling(sample) -> GoFReport:
     No parameters are estimated (case 0), so the 10%-level critical value is
     1.933; the hypothesis is accepted iff A^2 stays below it.
     """
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 1 or x.size < AD_MIN_SAMPLE:
-        raise ValueError(
-            f"Anderson-Darling needs a 1-D sample of at least {AD_MIN_SAMPLE} values")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample contains non-finite values")
-    x = np.sort(x)
+    x = _sorted_sample(sample, "Anderson-Darling", AD_MIN_SAMPLE)
     n = x.size
     i = np.arange(1, n + 1)
     # log Phi and log(1 - Phi) computed directly to avoid tail underflow; the

@@ -290,17 +290,14 @@ def clustering(g: WeightedDigraph) -> tuple[np.ndarray, float]:
     Nodes with fewer than 2 neighbours get coefficient 0 by convention, so the
     graph mean is always defined.
     """
-    a = g.simple_adjacency()
-    n = g.n
-    coeffs = np.zeros(n)
-    for i in range(n):
-        nb = np.flatnonzero(a[i])
-        k = nb.size
-        if k < 2:
-            continue
-        links = int(np.count_nonzero(a[np.ix_(nb, nb)])) // 2
-        coeffs[i] = links / (k * (k - 1) / 2)
-    return coeffs, float(coeffs.mean()) if n else 0.0
+    a = g.simple_adjacency().astype(float)
+    k = a.sum(axis=1)
+    # links among each node's neighbours: the symmetric A has no self-loops, so
+    # row i of (A @ A) * A counts each link twice; the counts are exact integers
+    links = ((a @ a) * a).sum(axis=1) / 2
+    # a node with fewer than 2 neighbours has no links: 0 / 1 gives it 0
+    coeffs = links / np.maximum(k * (k - 1) / 2, 1.0)
+    return coeffs, float(coeffs.mean()) if g.n else 0.0
 
 
 def algebraic_connectivity(g: WeightedDigraph) -> float:

@@ -207,7 +207,7 @@ def analyze(edges_path: str,
     generations = run_scheme(scheme_obj, g1)
 
     gof = [_named(ks_rank(ks_statistic(node.values), null, seed), node.name)
-           for node in _report_order(generations)]
+           for node in generations.nodes]
     root = generations.root()
     gof.append(_named(anderson_darling(root.values), root.name))
 
@@ -227,14 +227,6 @@ def analyze(edges_path: str,
         generations=generations,
         gof=tuple(gof),
     )
-
-
-def _report_order(generations: GenerationScores) -> list[GenerationScore]:
-    """Root generation first, preorder within a generation (NGFP column order)."""
-    ordered: list[GenerationScore] = []
-    for gen in generations.generations():
-        ordered.extend(generations.by_generation(gen))
-    return ordered
 
 
 def _named(report: GoFReport, measure: str) -> GoFReport:
@@ -264,7 +256,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             {"name": g.name, "generation": g.generation,
              "values": g.values.tolist(),
              "display_heights": g.display_heights.tolist()}
-            for g in _report_order(report.generations)
+            for g in report.generations.nodes
         ],
         "gof": [dict(zip(_GOF_KEYS, astuple(r))) for r in report.gof],
     }

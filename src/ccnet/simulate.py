@@ -98,13 +98,17 @@ class StudyResult:
         raise KeyError(f"size {size} not present in the study")
 
 
+def _streams(n: int, seed: int | np.random.SeedSequence) -> list[np.random.Generator]:
+    """The five measures' independent streams, once ``n`` is large enough."""
+    if n < 10:
+        raise ValueError("need at least 10 samples per measure")
+    return np.random.default_rng(seed).spawn(5)
+
+
 def sample_arb(spec: ArbMeasureSpec, n: int,
                seed: int | np.random.SeedSequence) -> list[MeasureVector]:
     """Draw the five synthetic measures, one independent stream each."""
-    if n < 10:
-        raise ValueError("need at least 10 samples per measure")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(child) for child in root.spawn(5)]
+    rngs = _streams(n, seed)
     values = [
         rngs[0].uniform(spec.uniform_low, spec.uniform_high, n),
         rngs[1].normal(spec.normal_mean, spec.normal_sigma, n),
@@ -120,12 +124,8 @@ def sample_arb(spec: ArbMeasureSpec, n: int,
 def sample_standard_normal_set(n: int,
                                seed: int | np.random.SeedSequence) -> list[MeasureVector]:
     """Control sampler: five i.i.d. standard-normal 'measures' (exact-null run)."""
-    if n < 10:
-        raise ValueError("need at least 10 samples per measure")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(child) for child in root.spawn(5)]
     return [MeasureVector(f"normal-{k}", rng.standard_normal(n), bigger_is_better=True)
-            for k, rng in enumerate(rngs)]
+            for k, rng in enumerate(_streams(n, seed))]
 
 
 def composite_scores(measures: Sequence[MeasureVector]) -> np.ndarray:
@@ -187,23 +187,17 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
             ks_null_table, n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,))))
             for n in sizes]
         for n, first, table in requests:
-            comp_stats = np.empty(stat_realizations)
-            null_stats = np.empty(stat_realizations)
-            observed = []  # the first p_realizations statistics, ranked below
-            for r in range(max(stat_realizations, p_realizations)):
-                stat = ks_statistic(composite_scores(first if r == 0 else draw(n, r)))
-                if r < stat_realizations:
-                    comp_stats[r] = stat
-                    null_stats[r] = ks_statistic(np.random.default_rng(np.random.SeedSequence(
-                        entropy=seed, spawn_key=(n, r, 2))).standard_normal(n))
-                if r < p_realizations:
-                    observed.append(stat)
+            comp_stats = [ks_statistic(composite_scores(first if r == 0 else draw(n, r)))
+                          for r in range(max(stat_realizations, p_realizations))]
+            null_stats = [ks_statistic(np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(n, r, 2))).standard_normal(n))
+                for r in range(stat_realizations)]
             null = table.result()
-            p_values = np.array([ks_rank(o, null, seed).p_value for o in observed])
+            p_values = [ks_rank(stat, null, seed).p_value for stat in comp_stats[:p_realizations]]
             rows.append(SizeResult(
                 size=n,
                 **_band("p", p_values),
-                **_band("comp_ks", comp_stats),
+                **_band("comp_ks", comp_stats[:stat_realizations]),
                 **_band("null_ks", null_stats),
             ))
     finally:  # joins the side thread, also on an error
@@ -220,9 +214,9 @@ def max_error_estimate(study: StudyResult, n: int) -> float:
     return study.row(n).comp_ks_hi
 
 
-def _band(prefix: str, values: np.ndarray) -> dict[str, float]:
-    mean = float(values.mean())
-    half = float(_Z95 * values.std(ddof=1) / np.sqrt(values.size))
+def _band(prefix: str, values: Sequence[float]) -> dict[str, float]:
+    mean = float(np.mean(values))
+    half = float(_Z95 * np.std(values, ddof=1) / np.sqrt(len(values)))
     return {f"{prefix}_mean": mean, f"{prefix}_lo": mean - half,
             f"{prefix}_hi": mean + half}
 

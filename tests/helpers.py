@@ -185,6 +185,21 @@ def largest_scc_oracle(g: WeightedDigraph) -> tuple[str, ...]:
     return tuple(g.labels[i] for i in chosen)
 
 
+def clustering_oracle(g: WeightedDigraph) -> np.ndarray:
+    """Per-node clustering coefficients, one node at a time: the links among
+    a node's neighbours counted on the simple adjacency, 0 below 2 neighbours."""
+    a = g.simple_adjacency()
+    coeffs = np.zeros(g.n)
+    for i in range(g.n):
+        nb = np.flatnonzero(a[i])
+        k = nb.size
+        if k < 2:
+            continue
+        links = int(np.count_nonzero(a[np.ix_(nb, nb)])) // 2
+        coeffs[i] = links / (k * (k - 1) / 2)
+    return coeffs
+
+
 def min_cut_oracle(weights: np.ndarray, s: int, t: int) -> float:
     """Minimum s-t cut capacity by enumerating every source-side subset."""
     n = weights.shape[0]

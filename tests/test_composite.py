@@ -192,6 +192,10 @@ class TestSchemeInvariance:
         sm = [standardize(m) for m in correlated_measures(100, 7)]
         with pytest.raises(ValueError):
             scheme_invariance(sm, [builtin_scheme("drt")])
+        # a scheme whose leaves are not the measure names fails run_scheme's check
+        other = builtin_scheme("rtd").rename_leaf("IN-LO-QL", "EC")
+        with pytest.raises(SchemeError, match="missing \\['EC'\\], unused \\['IN-LO-QL'\\]"):
+            scheme_invariance(sm, [builtin_scheme("drt"), other])
 
 
 class TestSchemeSerialization:

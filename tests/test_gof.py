@@ -221,17 +221,21 @@ class TestKsNull:
     def test_table_matches_per_row_reference(self):
         # same chunk seeding, one row at a time without the in-place kernel;
         # n = 5000 takes two full chunks and a partial one, n = 10^4 takes
-        # five chunks of 419 rows and a last one of 405
+        # five chunks of 419 rows and a last one of 405.  The chunks' streams
+        # are those of an explicit SeedSequence.spawn, for an int seed and for
+        # a spawned SeedSequence seed (as analyze and the study pass)
         b = 2500
-        for n in (5000, 10_000):
+        for n, spawn_key in ((5000, None), (10_000, None), (5000, (7,))):
+            seed = 4 if spawn_key is None else np.random.SeedSequence(4, spawn_key=spawn_key)
+            oracle = np.random.SeedSequence(4, spawn_key=spawn_key or ())
             per_chunk = _CHUNK_DRAWS // n
             i = np.arange(1, n + 1)
             expected = []
-            for k, child in enumerate(np.random.SeedSequence(4).spawn(math.ceil(b / per_chunk))):
+            for k, child in enumerate(oracle.spawn(math.ceil(b / per_chunk))):
                 for row in np.random.default_rng(child).random((min(per_chunk, b - k * per_chunk), n)):
                     u = np.sort(row)
                     expected.append(max(np.max(np.abs(i / n - u)), np.max(np.abs(u - (i - 1) / n))))
-            assert np.array_equal(ks_null_table(n, b, seed=4), np.sort(expected))
+            assert np.array_equal(ks_null_table(n, b, seed), np.sort(expected))
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_table_independent_of_worker_count(self, monkeypatch, cores):

@@ -26,6 +26,7 @@ from ccnet import (
 )
 from ccnet.graph import _hop_distances
 from helpers import (
+    clustering_oracle,
     largest_scc_oracle,
     make_tradelike,
     random_digraph,
@@ -437,6 +438,15 @@ class TestAgainstNetworkx:
         expected = np.array([ref[i] for i in range(g.n)])
         assert coeffs == pytest.approx(expected, rel=1e-15, abs=0.0)
         assert mean == pytest.approx(float(expected.mean()), rel=1e-15, abs=0.0)
+        # and bit for bit the per-node loop's
+        oracle = clustering_oracle(g)
+        assert np.array_equal(coeffs, oracle)
+        assert mean == float(oracle.mean())
+
+    @pytest.mark.parametrize("n", [3, 40, 150])
+    def test_clustering_equals_per_node_loop_at_scale(self, n):
+        for g in (make_tradelike(n, 1), random_digraph(n, 2, p=0.05), random_digraph(n, 3, p=0.6)):
+            assert np.array_equal(clustering(g)[0], clustering_oracle(g))
 
     @PROPERTY
     @given(small_digraphs())

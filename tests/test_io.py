@@ -290,6 +290,17 @@ class TestAnalyze:
         text = report_to_json(analyze(path, e_th, seed=1, replicates=2500))
         assert report_to_json(report_from_json(text)) == text
 
+    def test_round_trip_keeps_the_generation_order(self, edges_csv):
+        # one order in memory: a fresh report and its reloaded copy list the
+        # generation scores alike, root generation first
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        report = analyze(path, e_th, seed=1, replicates=2500)
+        names = [node.name for node in report.generations.nodes]
+        loaded = report_from_json(report_to_json(report))
+        assert [node.name for node in loaded.generations.nodes] == names
+        assert names[:3] == ["COMPOSITE", "IN", "OUT"]
+
     def test_alt_set_replaces_lowest_p(self, edges_csv):
         path, g = edges_csv
         e_th = float(min(w for _, _, w in g.edge_list()))

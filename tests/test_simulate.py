@@ -68,6 +68,36 @@ class TestSampleArb:
             ArbMeasureSpec(pareto_alpha=-1.0)
 
 
+def _seeds(kind):
+    """Two equal, unspawned seeds of one kind: one for the call, one for the oracle."""
+    if kind == "int":
+        return 11, np.random.SeedSequence(11)
+    return (np.random.SeedSequence(entropy=11, spawn_key=(300, 2, 0)),
+            np.random.SeedSequence(entropy=11, spawn_key=(300, 2, 0)))
+
+
+@pytest.mark.parametrize("kind", ["int", "seed-sequence"])
+class TestSeededStreams:
+    """Both samplers read the streams of an explicit ``SeedSequence.spawn``;
+    ``test_table_matches_per_row_reference`` checks the KS tables' streams."""
+
+    def test_samplers_draw_spawned_streams(self, kind):
+        spec, n = ArbMeasureSpec(), 40
+        seed, oracle = _seeds(kind)
+        rngs = [np.random.default_rng(child) for child in oracle.spawn(5)]
+        expected = [rngs[0].uniform(spec.uniform_low, spec.uniform_high, n),
+                    rngs[1].normal(spec.normal_mean, spec.normal_sigma, n),
+                    rngs[2].lognormal(spec.lognormal_mu, spec.lognormal_sigma, n),
+                    rngs[3].exponential(spec.exponential_mu, n),
+                    (rngs[4].pareto(spec.pareto_alpha, n) + 1.0) * spec.pareto_xmin]
+        for m, values in zip(sample_arb(spec, n, seed), expected, strict=True):
+            assert np.array_equal(m.values, values)
+        seed, oracle = _seeds(kind)
+        expected = [np.random.default_rng(child).standard_normal(n) for child in oracle.spawn(5)]
+        for m, values in zip(sample_standard_normal_set(n, seed), expected, strict=True):
+            assert np.array_equal(m.values, values)
+
+
 class TestCompositeScores:
     def test_moment_contract_for_any_size(self):
         for n in (20, 100, 400):

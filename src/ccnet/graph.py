@@ -8,6 +8,7 @@ algebra beats sparse bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -134,18 +135,15 @@ def build_graph(labeled_edges: Iterable[tuple[str, str, float]]) -> WeightedDigr
     weights and duplicate (source, target) pairs are errors.
     """
     order: dict[str, int] = {}
-    edges: list[tuple[str, str, float]] = []
     seen: set[tuple[str, str]] = set()
+    cells: list[tuple[int, int, float]] = []
     for src, dst, w in labeled_edges:
         w = _check_edge(src, dst, w, seen)
-        for lbl in (src, dst):
-            if lbl not in order:
-                order[lbl] = len(order)
-        edges.append((src, dst, w))
-    n = len(order)
-    weights = np.zeros((n, n))
-    for src, dst, w in edges:
-        weights[order[src], order[dst]] = w
+        cells.append((order.setdefault(src, len(order)), order.setdefault(dst, len(order)), w))
+    weights = np.zeros((len(order), len(order)))
+    if cells:  # ``seen`` rules out a repeated (i, j), so no cell is written twice
+        rows, cols, values = zip(*cells)
+        weights[rows, cols] = values
     return WeightedDigraph(tuple(order), weights)
 
 
@@ -161,7 +159,7 @@ def _check_edge(src: str, dst: str, w: float | str, seen: set[tuple[str, str]]) 
     if src == dst:
         raise GraphError(f"self-loop edge on {src!r}")
     w = float(w)
-    if not np.isfinite(w) or w <= 0.0:
+    if not math.isfinite(w) or w <= 0.0:
         raise GraphError(f"non-positive weight {w!r} on edge {src!r}->{dst!r}")
     if (src, dst) in seen:
         raise GraphError(f"duplicate edge {src!r}->{dst!r}")
@@ -184,19 +182,14 @@ def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
     """All strongly connected components as sorted lists of node indices.
 
     Nodes i and j share a component iff each reaches the other, read off the
-    graph's hop-distance matrix.  Components are ordered by their smallest
-    node index; a node on no cycle is a component of its own.
+    graph's hop-distance matrix.  Components are named and ordered by their
+    smallest member; a node on no cycle is a component of its own.
     """
     reach = hop_distance_matrix(g) >= 0
-    mutual = reach & reach.T
-    seen = np.zeros(g.n, dtype=bool)
-    components: list[list[int]] = []
-    for i in range(g.n):
-        if not seen[i]:
-            comp = np.flatnonzero(mutual[i])
-            seen[comp] = True
-            components.append(comp.tolist())
-    return components
+    # a node reaches itself, so row i's first mutual entry is its component's smallest member
+    roots = np.argmax(reach & reach.T, axis=1) if g.n else np.zeros(0, dtype=np.int64)
+    # the names are the nodes that are their own root; np.unique would import numpy.ma
+    return [np.flatnonzero(roots == r).tolist() for r in np.flatnonzero(roots == np.arange(g.n))]
 
 
 def largest_scc(g: WeightedDigraph) -> WeightedDigraph:

@@ -21,8 +21,10 @@ from ccnet import (
     StandardizedMeasure,
     TransformParams,
     WeightedDigraph,
+    hop_distance_matrix,
 )
 from ccnet.gof import _log_phi, _phi
+from ccnet.graph import _check_edge
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -175,6 +177,41 @@ def scc_oracle(g: WeightedDigraph) -> list[list[int]]:
         seen.update(comp)
         components.append(comp)
     return components
+
+
+def scc_node_loop(g: WeightedDigraph) -> list[list[int]]:
+    """Components from the hop matrix one unvisited node at a time, each taking
+    its row of mutual reachability: the loop reference for the one-argmax split
+    in ``strongly_connected_components``."""
+    reach = hop_distance_matrix(g) >= 0
+    mutual = reach & reach.T
+    seen = np.zeros(g.n, dtype=bool)
+    components: list[list[int]] = []
+    for i in range(g.n):
+        if not seen[i]:
+            comp = np.flatnonzero(mutual[i])
+            seen[comp] = True
+            components.append(comp.tolist())
+    return components
+
+
+def build_graph_two_pass(labeled_edges) -> WeightedDigraph:
+    """``build_graph`` as two passes: validate and number the nodes, then write
+    each edge's weight by label lookup."""
+    order: dict[str, int] = {}
+    edges: list[tuple[str, str, float]] = []
+    seen: set[tuple[str, str]] = set()
+    for src, dst, w in labeled_edges:
+        w = _check_edge(src, dst, w, seen)
+        for lbl in (src, dst):
+            if lbl not in order:
+                order[lbl] = len(order)
+        edges.append((src, dst, w))
+    n = len(order)
+    weights = np.zeros((n, n))
+    for src, dst, w in edges:
+        weights[order[src], order[dst]] = w
+    return WeightedDigraph(tuple(order), weights)
 
 
 def largest_scc_oracle(g: WeightedDigraph) -> tuple[str, ...]:

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccnet
@@ -26,11 +26,13 @@ from ccnet import (
 )
 from ccnet.graph import _hop_distances
 from helpers import (
+    build_graph_two_pass,
     clustering_oracle,
     largest_scc_oracle,
     make_tradelike,
     random_digraph,
     random_strongly_connected,
+    scc_node_loop,
     scc_oracle,
 )
 
@@ -397,6 +399,19 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_components_load_no_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 1.7 MB of peak RSS that
+    # nothing else on the analyze path loads
+    code = ("import sys, numpy as np, ccnet; "
+            "w = np.zeros((3, 3)); w[0, 1] = w[1, 0] = w[2, 1] = 1; "
+            "ccnet.largest_scc(ccnet.WeightedDigraph(('a', 'b', 'c'), w)); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(ccnet.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 # seeded and without an example database, so every run tries the same cases
 PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -460,3 +475,79 @@ class TestAgainstNetworkx:
         lap = nx.normalized_laplacian_matrix(sym).toarray()
         expected = np.linalg.eigvalsh(lap)[1]
         assert algebraic_connectivity(g) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@st.composite
+def sparse_digraphs(draw):
+    """A random digraph on 1-15 nodes, from edgeless to dense, so that many
+    graphs split into several components, often of equal size."""
+    n = draw(st.integers(1, 15))
+    p = draw(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    return WeightedDigraph(tuple(f"n{k:02d}" for k in range(n)), np.where(mask, 1.0, 0.0))
+
+
+def disjoint_cycles(*sizes):
+    """Disjoint directed cycles of the given sizes (each at least 2), their nodes
+    dealt out round-robin so that the components' members interleave."""
+    members: list[list[int]] = [[] for _ in sizes]
+    for i in range(max(sizes)):
+        for c, size in enumerate(sizes):
+            if i < size:
+                members[c].append(sum(map(len, members)))
+    n = sum(sizes)
+    w = np.zeros((n, n))
+    for cycle in members:
+        w[cycle, np.roll(cycle, -1)] = 1.0
+    return WeightedDigraph(tuple(f"v{k:02d}" for k in range(n)), w)
+
+
+class TestAgainstLoopOracles:
+    @PROPERTY
+    @given(sparse_digraphs())
+    @example(WeightedDigraph(("a",), np.zeros((1, 1))))
+    @example(WeightedDigraph(tuple("abcde"), np.zeros((5, 5))))
+    @example(disjoint_cycles(3, 4))
+    @example(disjoint_cycles(3, 3, 2, 3))
+    def test_components_equal_the_node_loop_in_order(self, g):
+        components = strongly_connected_components(g)
+        assert components == scc_node_loop(g)
+        assert components == scc_oracle(g)
+
+    def test_empty_graph_has_no_components(self):
+        g = WeightedDigraph((), np.zeros((0, 0)))
+        assert strongly_connected_components(g) == scc_node_loop(g) == []
+
+    def test_tied_cycles_interleaved_keep_smallest_member_order(self):
+        g = disjoint_cycles(3, 3, 2, 3)
+        assert strongly_connected_components(g) == [
+            [0, 4, 8], [1, 5, 9], [2, 6], [3, 7, 10]]
+        assert largest_scc(g).labels == ("v00", "v04", "v08")
+
+    @PROPERTY
+    @given(small_digraphs(), st.integers(0, 2**32 - 1))
+    @example(WeightedDigraph(("a", "b"), np.zeros((2, 2))), 0)
+    def test_build_graph_equals_two_pass_on_shuffled_edges(self, g, seed):
+        edges = g.edge_list()
+        edges = [edges[k] for k in np.random.default_rng(seed).permutation(len(edges))]
+        built, expected = build_graph(edges), build_graph_two_pass(edges)
+        assert built.labels == expected.labels
+        assert built.weights.tobytes() == expected.weights.tobytes()
+
+    @pytest.mark.parametrize("edges, message", [
+        ([("a", "b", 1.0), ("c", "c", 1.0), ("d", "e", 0.0)], "self-loop edge on 'c'"),
+        ([("a", "b", 1.0), ("d", "e", 0.0), ("c", "c", 1.0)],
+         "non-positive weight 0.0 on edge 'd'->'e'"),
+        ([("a", "b", 1.0), ("a", "b", 2.0), ("", "x", 1.0)], "duplicate edge 'a'->'b'"),
+        ([("a", "", 1.0), ("b", "c", float("nan"))], "edge labels must be non-empty"),
+        ([("b", "c", float("inf")), ("a", "", 1.0)], "non-positive weight inf on edge 'b'->'c'"),
+    ])
+    def test_first_bad_edge_is_reported(self, edges, message):
+        with pytest.raises(GraphError) as exc:
+            build_graph(edges)
+        assert str(exc.value) == message
+        with pytest.raises(GraphError) as exc:
+            build_graph_two_pass(edges)
+        assert str(exc.value) == message

@@ -229,7 +229,7 @@ def edge_density(g: WeightedDigraph) -> float:
 
 
 def hop_distance_matrix(g: WeightedDigraph) -> np.ndarray:
-    """All-pairs unweighted hop distances via per-source BFS; -1 marks unreachable.
+    """All-pairs unweighted hop distances by one lock-step BFS; -1 marks unreachable.
 
     Computed once per graph and returned read-only: the SCCs, ``aspl``,
     ``diameter``, ``maxflow_measure`` and ``summarize`` all read the same matrix.
@@ -253,19 +253,21 @@ def strong_hop_matrix(g: WeightedDigraph) -> np.ndarray:
 
 
 def _hop_distances(g: WeightedDigraph) -> np.ndarray:
-    adj = g.adjacency()
-    return np.array([_bfs(adj, s) for s in range(g.n)], dtype=np.int64).reshape(g.n, g.n)
+    return _bfs(g.adjacency(), np.eye(g.n, dtype=bool))
 
 
-def _bfs(adj: np.ndarray, s: int) -> np.ndarray:
-    """Hop distances from node ``s`` over the boolean adjacency ``adj``; -1 marks unreachable."""
-    d = np.full(adj.shape[0], -1, dtype=np.int64)
-    d[s] = 0
-    frontier = d == 0
+def _bfs(adj: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from each row of the boolean ``sources`` (k, N) over the
+    boolean adjacency ``adj``, all rows in lock step; -1 marks unreachable."""
+    a = adj.astype(float)
+    d = np.where(sources, 0, -1).astype(np.int64)
+    frontier = sources
     level = 0
     while frontier.any():
         level += 1
-        frontier = adj[frontier].any(axis=0) & (d < 0)
+        # one float64 product per level, which BLAS runs far faster than a
+        # boolean one; its sums of 0/1 terms are exact integers
+        frontier = (frontier @ a > 0.0) & (d < 0)
         d[frontier] = level
     return d
 
@@ -349,4 +351,5 @@ def coverage(full: WeightedDigraph, reduced: WeightedDigraph) -> float:
 
 
 def _connected(sym_adj: np.ndarray) -> bool:
-    return sym_adj.shape[0] > 0 and bool(np.all(_bfs(sym_adj, 0) >= 0))
+    n = sym_adj.shape[0]
+    return n > 0 and bool(np.all(_bfs(sym_adj, np.eye(1, n, dtype=bool)) >= 0))

@@ -14,7 +14,6 @@ floor; that floor is the composite curve of the exact-null control run
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
@@ -154,10 +153,9 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
     error has standard deviation at most 1/(2 sqrt(replicates)).  Samples
     are seeded through spawn keys of (size, realization, stream) and each
     size's null table through the key (size,), so results are bit-identical
-    for a given seed and independent of evaluation order.  Every size's
-    table is requested, after that size's first sample, before any composite
-    is built; one side thread draws them in size order while the calling
-    thread builds the composites, and an error drops those not yet started.
+    for a given seed and independent of evaluation order.  The sizes run one
+    after another: a size's composites and null draws come first, then its
+    table, so a size the sampler rejects fails before its table is drawn.
     The default sampler is ``sample_arb`` with the default ``ArbMeasureSpec``.
     """
     sizes = [int(n) for n in sizes]
@@ -175,33 +173,22 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
         spec = ArbMeasureSpec()
         sampler = lambda n, ss: sample_arb(spec, n, ss)  # noqa: E731
 
-    def draw(n: int, r: int) -> list[MeasureVector]:
-        return sampler(n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0)))
-
     rows = []
-    side = ThreadPoolExecutor(1)
-    try:
-        # a size the sampler rejects fails before its table is requested;
-        # the table's draw, sort and ufuncs release the GIL
-        requests = [(n, draw(n, 0), side.submit(
-            ks_null_table, n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,))))
-            for n in sizes]
-        for n, first, table in requests:
-            comp_stats = [ks_statistic(composite_scores(first if r == 0 else draw(n, r)))
-                          for r in range(max(stat_realizations, p_realizations))]
-            null_stats = [ks_statistic(np.random.default_rng(np.random.SeedSequence(
-                entropy=seed, spawn_key=(n, r, 2))).standard_normal(n))
-                for r in range(stat_realizations)]
-            null = table.result()
-            p_values = [ks_rank(stat, null, seed).p_value for stat in comp_stats[:p_realizations]]
-            rows.append(SizeResult(
-                size=n,
-                **_band("p", p_values),
-                **_band("comp_ks", comp_stats[:stat_realizations]),
-                **_band("null_ks", null_stats),
-            ))
-    finally:  # joins the side thread, also on an error
-        side.shutdown(cancel_futures=True)
+    for n in sizes:
+        comp_stats = [ks_statistic(composite_scores(sampler(
+            n, np.random.SeedSequence(entropy=seed, spawn_key=(n, r, 0)))))
+            for r in range(max(stat_realizations, p_realizations))]
+        null_stats = [ks_statistic(np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(n, r, 2))).standard_normal(n))
+            for r in range(stat_realizations)]
+        null = ks_null_table(n, replicates, np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
+        p_values = [ks_rank(stat, null, seed).p_value for stat in comp_stats[:p_realizations]]
+        rows.append(SizeResult(
+            size=n,
+            **_band("p", p_values),
+            **_band("comp_ks", comp_stats[:stat_realizations]),
+            **_band("null_ks", null_stats),
+        ))
     return StudyResult(tuple(rows), p_realizations, stat_realizations, replicates, seed)
 
 

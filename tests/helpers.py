@@ -3,9 +3,10 @@
 The graph generators mimic trade-style networks (latent node sizes drive both
 edge presence and weight), which keeps the eight standard measures strongly
 correlated, as in the real networks this machinery targets.  The oracles are
-deliberately naive: boolean-closure reachability for components, exhaustive
-cut enumeration for max flow, one scalar likelihood call per exponent for the
-Box-Cox fit, one measure at a time for standardisation.
+deliberately naive: boolean-closure reachability for components, one BFS per
+source for hop distances, exhaustive cut enumeration for max flow, one scalar
+likelihood call per exponent for the Box-Cox fit, one measure at a time for
+standardisation.
 """
 
 from __future__ import annotations
@@ -162,6 +163,23 @@ def reachability_closure(adj: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, reach):
             return reach
         reach = nxt
+
+
+def hop_distances_per_source(g: WeightedDigraph) -> np.ndarray:
+    """All-pairs hop distances, one boolean BFS per source node: the loop
+    reference for the lock-step BFS in ``graph._hop_distances``."""
+    adj = g.adjacency()
+    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    for s in range(g.n):
+        d = dist[s]
+        d[s] = 0
+        frontier = d == 0
+        level = 0
+        while frontier.any():
+            level += 1
+            frontier = adj[frontier].any(axis=0) & (d < 0)
+            d[frontier] = level
+    return dist
 
 
 def scc_oracle(g: WeightedDigraph) -> list[list[int]]:

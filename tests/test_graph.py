@@ -28,6 +28,7 @@ from ccnet.graph import _hop_distances
 from helpers import (
     build_graph_two_pass,
     clustering_oracle,
+    hop_distances_per_source,
     largest_scc_oracle,
     make_tradelike,
     random_digraph,
@@ -515,6 +516,23 @@ class TestAgainstLoopOracles:
         components = strongly_connected_components(g)
         assert components == scc_node_loop(g)
         assert components == scc_oracle(g)
+
+    @PROPERTY
+    @given(sparse_digraphs())
+    @example(WeightedDigraph((), np.zeros((0, 0))))
+    @example(WeightedDigraph(("a",), np.zeros((1, 1))))
+    @example(WeightedDigraph(tuple("abcde"), np.zeros((5, 5))))
+    @example(disjoint_cycles(3, 4))
+    def test_hop_distances_equal_the_per_source_loop_and_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        dist = _hop_distances(g)
+        oracle = hop_distances_per_source(g)
+        assert dist.dtype == oracle.dtype and dist.shape == oracle.shape == (g.n, g.n)
+        assert np.array_equal(dist, oracle)
+        lengths = dict(nx.shortest_path_length(nx.from_numpy_array(
+            g.adjacency().astype(int), create_using=nx.DiGraph)))
+        assert [[lengths[i].get(j, -1) for j in range(g.n)] for i in range(g.n)] \
+            == dist.tolist()
 
     def test_empty_graph_has_no_components(self):
         g = WeightedDigraph((), np.zeros((0, 0)))

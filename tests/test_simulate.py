@@ -1,8 +1,6 @@
 import importlib
 import json
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -152,27 +150,6 @@ class TestStudy:
         assert caught.value is boom
         assert threading.active_count() == before
 
-    def test_composite_error_waits_for_the_table_in_flight(self, monkeypatch):
-        finished = []
-
-        def slow(n, replicates, seed):
-            time.sleep(0.2)
-            finished.append(n)
-            return ks_null_table(n, replicates, seed)
-
-        def sampler(n, ss):
-            if ss.spawn_key == (n, 1, 0):
-                raise ValueError("bad realization")
-            return sample_arb(ArbMeasureSpec(), n, ss)
-
-        monkeypatch.setattr(ccnet.simulate, "ks_null_table", slow)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="bad realization"):
-            gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=3,
-                           replicates=2500, seed=5, sampler=sampler)
-        assert finished == [50]
-        assert threading.active_count() == before
-
     def test_rejected_size_fails_before_its_table_is_requested(self, monkeypatch):
         tables = []
 
@@ -191,24 +168,17 @@ class TestStudy:
                            replicates=2500, seed=6, sampler=sampler)
         assert tables == [50]
 
-    def test_every_table_is_requested_before_the_first_composite(self, monkeypatch):
-        events = []
+    def test_tables_are_drawn_on_the_calling_thread_in_size_order(self, monkeypatch):
+        calls = []
 
-        class Recording(ThreadPoolExecutor):
-            def submit(self, fn, n, *args):
-                events.append(("table", n))
-                return super().submit(fn, n, *args)
+        def recorded(n, replicates, seed):
+            calls.append((n, threading.get_ident()))
+            return ks_null_table(n, replicates, seed)
 
-        def composite(measures):
-            events.append(("composite", measures[0].values.size))
-            return composite_scores(measures)
-
-        monkeypatch.setattr(ccnet.simulate, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(ccnet.simulate, "composite_scores", composite)
+        monkeypatch.setattr(ccnet.simulate, "ks_null_table", recorded)
         gof_vs_n_study(sizes=(20, 30, 40), p_realizations=2, stat_realizations=2,
                        replicates=2500, seed=3)
-        assert events == ([("table", n) for n in (20, 30, 40)]
-                          + [("composite", n) for n in (20, 20, 30, 30, 40, 40)])
+        assert calls == [(n, threading.get_ident()) for n in (20, 30, 40)]
 
     def test_equals_sequential_recipe(self):
         sizes, p_real, stat_real, reps, seed = (60, 700), 3, 5, 2500, 9

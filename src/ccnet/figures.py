@@ -33,6 +33,25 @@ def _esc(text: str) -> str:
             .replace('"', "&quot;"))
 
 
+def _svg(width: float, height: float, elements: list[str]) -> str:
+    w, h = _fmt(width), _fmt(height)
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+            f'viewBox="0 0 {w} {h}">', f'<rect width="{w}" height="{h}" fill="white"/>']
+    return "\n".join(head + elements + ["</svg>"]) + "\n"
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke="#444444", width="1") -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x: float, y: float, size: int, body: str, anchor: str | None = None) -> str:
+    """``body`` is escaped here, so callers pass labels as they are."""
+    align = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="{size}"{align}>'
+            f'{_esc(body)}</text>')
+
+
 def render_ngfp(reports: Sequence[AnalysisReport], node_label: str) -> str:
     """Stacked generation-score bars for one node across report years.
 
@@ -83,20 +102,12 @@ def render_ngfp(reports: Sequence[AnalysisReport], node_label: str) -> str:
     peak = peak if peak > 0.0 else 1.0
     scale = (height - margin_t - margin_b) / 2.0 / (peak * 1.08)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
-        f'<text x="{_fmt(margin_l)}" y="20.00" {_FONT} font-size="13">'
-        f'{_esc("generation fingerprint: " + node_label)}</text>',
-    ]
+    parts = [_text(margin_l, 20.0, 13, "generation fingerprint: " + node_label)]
     # y-axis ticks in score units
     for tick in (-peak, -peak / 2.0, 0.0, peak / 2.0, peak):
         y = mid - tick * scale
-        parts.append(f'<line x1="{_fmt(margin_l - 4)}" y1="{_fmt(y)}" '
-                     f'x2="{_fmt(margin_l)}" y2="{_fmt(y)}" stroke="#444444" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(margin_l - 8)}" y="{_fmt(y + 3.5)}" {_FONT} '
-                     f'font-size="9" text-anchor="end">{_fmt(tick)}</text>')
+        parts.append(_line(margin_l - 4, y, margin_l, y))
+        parts.append(_text(margin_l - 8, y + 3.5, 9, _fmt(tick), "end"))
 
     x = margin_l
     for label, stacks in columns:
@@ -117,16 +128,12 @@ def render_ngfp(reports: Sequence[AnalysisReport], node_label: str) -> str:
                     f'height="{_fmt(y1 - y0)}" fill="{color[name]}" stroke="white" '
                     f'stroke-width="0.5"><title>{_esc(f"{label} {name}: {h:.4f}")}</title></rect>'
                 )
-        parts.append(f'<text x="{_fmt(x + group_w / 2.0)}" y="{_fmt(height - 12.0)}" {_FONT} '
-                     f'font-size="11" text-anchor="middle">{_esc(label)}</text>')
+        parts.append(_text(x + group_w / 2.0, height - 12.0, 11, label, "middle"))
         x += group_w + group_gap
 
     # zero expectation line over the plotting area
-    parts.append(f'<line x1="{_fmt(margin_l)}" y1="{_fmt(mid)}" '
-                 f'x2="{_fmt(width - margin_r)}" y2="{_fmt(mid)}" '
-                 f'stroke="black" stroke-width="1.2"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(_line(margin_l, mid, width - margin_r, mid, stroke="black", width="1.2"))
+    return _svg(width, height, parts)
 
 
 def render_cdf_overlay(scores: Sequence[float]) -> str:
@@ -145,27 +152,14 @@ def render_cdf_overlay(scores: Sequence[float]) -> str:
     def sy(p: float) -> float:
         return height - mb - p * (height - mt - mb)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
-        f'<text x="{_fmt(ml)}" y="18.00" {_FONT} font-size="13">'
-        f'composite score CDF vs standard normal</text>',
-    ]
-    # axes
-    parts.append(f'<line x1="{_fmt(ml)}" y1="{_fmt(sy(0.0))}" x2="{_fmt(width - mr)}" '
-                 f'y2="{_fmt(sy(0.0))}" stroke="#444444" stroke-width="1"/>')
-    parts.append(f'<line x1="{_fmt(ml)}" y1="{_fmt(sy(0.0))}" x2="{_fmt(ml)}" '
-                 f'y2="{_fmt(sy(1.0))}" stroke="#444444" stroke-width="1"/>')
+    parts = [_text(ml, 18.0, 13, "composite score CDF vs standard normal"),
+             _line(ml, sy(0.0), width - mr, sy(0.0)),  # axes
+             _line(ml, sy(0.0), ml, sy(1.0))]
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        parts.append(f'<text x="{_fmt(ml - 8)}" y="{_fmt(sy(p) + 3.5)}" {_FONT} '
-                     f'font-size="9" text-anchor="end">{_fmt(p)}</text>')
+        parts.append(_text(ml - 8, sy(p) + 3.5, 9, _fmt(p), "end"))
     for tick in range(int(np.ceil(x_lo)), int(np.floor(x_hi)) + 1):
-        parts.append(f'<line x1="{_fmt(sx(tick))}" y1="{_fmt(sy(0.0))}" '
-                     f'x2="{_fmt(sx(tick))}" y2="{_fmt(sy(0.0) + 4)}" '
-                     f'stroke="#444444" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(sx(tick))}" y="{_fmt(sy(0.0) + 16)}" {_FONT} '
-                     f'font-size="9" text-anchor="middle">{tick}</text>')
+        parts.append(_line(sx(tick), sy(0.0), sx(tick), sy(0.0) + 4))
+        parts.append(_text(sx(tick), sy(0.0) + 16, 9, str(tick), "middle"))
 
     # standard normal CDF, sampled polyline
     grid = np.linspace(x_lo, x_hi, 201)
@@ -192,7 +186,5 @@ def render_cdf_overlay(scores: Sequence[float]) -> str:
     parts.append(f'<line x1="{_fmt(gx)}" y1="{_fmt(sy(float(z[k])))}" x2="{_fmt(gx)}" '
                  f'y2="{_fmt(sy(float(emp)))}" stroke="#d62728" stroke-width="2" '
                  f'stroke-dasharray="3,2"/>')
-    parts.append(f'<text x="{_fmt(width - mr)}" y="{_fmt(mt + 12)}" {_FONT} font-size="11" '
-                 f'text-anchor="end">D = {gaps[k]:.4f}, n = {n}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(_text(width - mr, mt + 12, 11, f"D = {gaps[k]:.4f}, n = {n}", "end"))
+    return _svg(width, height, parts)

@@ -238,12 +238,12 @@ def anderson_darling(sample) -> GoFReport:
     x = _sorted_sample(sample, "Anderson-Darling", AD_MIN_SAMPLE)
     n = x.size
     i = np.arange(1, n + 1)
-    # log Phi and log(1 - Phi) computed directly to avoid tail underflow; the
-    # reversed sample -x[::-1] has the magnitudes of x reversed, so one erfc
-    # pass serves both
+    # log Phi and log(1 - Phi) computed directly to avoid tail underflow;
+    # Phi(-|x|) is the same for x and -x, so one erfc pass serves both; the
+    # log of -x is reversed after it is taken, as _log_phi needs contiguous input
     lower = _phi(-np.abs(x))
     log_cdf = _log_phi(x, lower)
-    log_sf = _log_phi(-x[::-1], lower[::-1].copy())
+    log_sf = _log_phi(-x, lower)[::-1]
     a2 = -n - np.sum((2 * i - 1) * (log_cdf + log_sf)) / n
     return GoFReport(
         test_name="anderson-darling",

@@ -167,13 +167,18 @@ def _check_edge(src: str, dst: str, w: float | str, seen: set[tuple[str, str]]) 
     return w
 
 
+def _check_threshold(e_th: float) -> None:
+    """The one threshold rule, shared by ``threshold_graph`` and ``analyze``'s argument checks."""
+    if not 0.0 < e_th < np.inf:
+        raise GraphError(f"threshold must be positive and finite, got {e_th!r}")
+
+
 def threshold_graph(g: WeightedDigraph, e_th: float) -> WeightedDigraph:
     """Drop every edge with weight below ``e_th`` (boundary inclusive: >= kept).
 
     Nodes are retained even if isolated; a later LSCC extraction removes them.
     """
-    if not 0.0 < e_th < np.inf:
-        raise GraphError(f"threshold must be positive and finite, got {e_th!r}")
+    _check_threshold(e_th)
     w = np.where(g.weights >= e_th, g.weights, 0.0)
     return WeightedDigraph(g.labels, w)
 

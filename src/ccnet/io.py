@@ -36,7 +36,8 @@ from .gof import (
     ks_rank,
     ks_statistic,
 )
-from .graph import GraphError, GraphSummary, _check_edge, build_graph, largest_scc, threshold_graph
+from .graph import (GraphError, GraphSummary, _check_edge, _check_threshold, build_graph,
+                    largest_scc, threshold_graph)
 from .measures import (
     STANDARD_MEASURE_NAMES,
     MeasureVector,
@@ -162,11 +163,12 @@ def analyze(edges_path: str,
 
     ``measure_set="alt"`` replaces the G1 measure with the lowest Monte-Carlo
     KS p-value by eigenvector centrality (leaf renamed to "EC" in the scheme).
-    A bad measure set, replicate count, seed or scheme (whose leaves must be
-    the eight standard names) fails before the edge list is read.  A G1 set
-    with constant measures is rejected before any Monte-Carlo work, with one
-    ``GraphError`` naming every constant measure.
+    A bad threshold, measure set, replicate count, seed or scheme (leaves
+    other than the eight standard names) fails before the edge list is
+    read.  A G1 set with constant measures is rejected before any
+    Monte-Carlo work, with one ``GraphError`` naming every constant measure.
     """
+    _check_threshold(e_th)
     if measure_set not in MEASURE_SETS:
         raise ValueError(f"measure_set must be one of {MEASURE_SETS}")
     check_replicates(replicates)

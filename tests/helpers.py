@@ -6,7 +6,7 @@ correlated, as in the real networks this machinery targets.  The oracles are
 deliberately naive: boolean-closure reachability for components, one BFS per
 source for hop distances, exhaustive cut enumeration for max flow, one scalar
 likelihood call per exponent for the Box-Cox fit, one measure at a time for
-standardisation.
+standardisation, every scheme pair for scheme invariance.
 """
 
 from __future__ import annotations
@@ -394,6 +394,16 @@ def anderson_darling_two_pass(x: np.ndarray) -> float:
     log_cdf = _log_phi(x, _phi(-np.abs(x)))
     log_sf = _log_phi(-x[::-1], _phi(-np.abs(-x[::-1])))
     return float(-n - np.sum((2 * i - 1) * (log_cdf + log_sf)) / n)
+
+
+def scheme_invariance_pairs(roots: list[np.ndarray]) -> float:
+    """Largest root-score discrepancy as ``scheme_invariance`` computed it
+    before it took one spread per node: every scheme pair, every node."""
+    worst = 0.0
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            worst = max(worst, float(np.max(np.abs(roots[i] - roots[j]))))
+    return worst
 
 
 def ks_rows_oracle(cdf_rows: np.ndarray) -> np.ndarray:

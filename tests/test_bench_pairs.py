@@ -47,3 +47,32 @@ def test_a_failed_run_leaves_its_pair_out_and_is_not_correct():
 ])
 def test_quartiles_are_linear_percentiles(values, expected):
     assert bench_pairs._quartiles(values) == expected
+
+
+def test_summary_counts_pairs_whose_outputs_are_identical():
+    runs = [run("parent", 0, 2.0), run("change", 0, 1.0),
+            run("parent", 1, 2.0), run("change", 1, 1.0),
+            run("parent", 2, 2.0), run("change", 2, 1.0)]
+    for r, digest in zip(runs, ["a", "a", "b", "c", "d", "d"]):
+        r["outputs_sha256"] = digest
+    # a run without a digest leaves its pair out of the count
+    runs.append(run("parent", 3, 2.0))
+    runs.append({**run("change", 3, 1.0), "outputs_sha256": "e"})
+    row = bench_pairs._summary(runs, ["w"], ["wall_s"])["w"]
+    assert row["outputs_identical_in_pairs"] == "2/3"
+
+
+def test_outputs_digest_covers_names_and_bytes_but_not_the_run_record(tmp_path):
+    work = tmp_path / "w"
+    (work / "sub").mkdir(parents=True)
+    (work / "report.json").write_text("{}\n")
+    (work / "sub" / "fig.svg").write_text("<svg/>\n")
+    digest = bench_pairs._outputs_digest(work)
+    (work / "result.json").write_text('{"wall_s": 1}\n')
+    (work / "trace.json").write_text("[]\n")
+    assert bench_pairs._outputs_digest(work) == digest
+    (work / "sub" / "fig.svg").write_text("<svg />\n")
+    changed = bench_pairs._outputs_digest(work)
+    assert changed != digest
+    (work / "sub" / "fig.svg").rename(work / "sub" / "fig2.svg")
+    assert bench_pairs._outputs_digest(work) not in (digest, changed)

@@ -1,7 +1,13 @@
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ccnet.composite
 
 from ccnet import (
     DegenerateCombinationError,
@@ -18,7 +24,13 @@ from ccnet import (
     scheme_to_dict,
     standardize,
 )
-from helpers import BUILTIN_TREES, correlated_measures, make_tradelike, orthonormal_leaves
+from helpers import (
+    BUILTIN_TREES,
+    correlated_measures,
+    make_tradelike,
+    orthonormal_leaves,
+    scheme_invariance_pairs,
+)
 
 
 def std_normal_sm(name, n, seed):
@@ -29,6 +41,10 @@ def std_normal_sm(name, n, seed):
 
 
 ALL_SCHEMES = [builtin_scheme(s) for s in ("drt", "rtd", "tdr")]
+# root values drawn from a small pool as well, so that schemes agree on some
+# nodes, and with both signed zeros
+ROOT_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]),
+                       st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestCombine:
@@ -196,6 +212,25 @@ class TestSchemeInvariance:
         other = builtin_scheme("rtd").rename_leaf("IN-LO-QL", "EC")
         with pytest.raises(SchemeError, match="missing \\['EC'\\], unused \\['IN-LO-QL'\\]"):
             scheme_invariance(sm, [builtin_scheme("drt"), other])
+
+    def test_builtin_schemes_equal_the_pair_loop(self):
+        sm = [standardize(m) for m in correlated_measures(200, 3)]
+        roots = [run_scheme(s, sm).root().values for s in ALL_SCHEMES]
+        assert scheme_invariance(sm, ALL_SCHEMES) == scheme_invariance_pairs(roots)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(ROOT_VALUE, min_size=n, max_size=n), min_size=2, max_size=4)))
+    @example([[0.0, -0.0], [-0.0, 0.0]])
+    @example([[-0.0], [-0.0], [0.0]])
+    @example([[1.5, 2.0], [1.5, 2.0], [1.5, 2.0], [1.5, 2.0]])
+    def test_one_spread_equals_the_pair_loop_bit_for_bit(self, rows):
+        roots = [np.array(row) for row in rows]
+        # each stand-in scheme's run yields its own root vector
+        schemes = [SimpleNamespace(root=lambda v=v: SimpleNamespace(values=v)) for v in roots]
+        with mock.patch.object(ccnet.composite, "run_scheme", lambda scheme, g1: scheme):
+            got = scheme_invariance([], schemes)
+        assert np.float64(got).tobytes() == np.float64(scheme_invariance_pairs(roots)).tobytes()
 
 
 class TestSchemeSerialization:

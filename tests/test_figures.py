@@ -61,6 +61,22 @@ class TestNgfp:
         with pytest.raises(ValueError, match="schemes"):
             render_ngfp([reports[0], other], reports[0].labels[0])
 
+    def test_labels_and_sources_are_escaped(self, reports):
+        import dataclasses
+
+        node, source = 'A&B <"x">', 'data & "co" <1990>'
+        report = dataclasses.replace(reports[0], source=source, year=None,
+                                     labels=(node,) + reports[0].labels[1:])
+        svg = render_ngfp([report], node)
+        esc_node = "A&amp;B &lt;&quot;x&quot;&gt;"
+        esc_source = "data &amp; &quot;co&quot; &lt;1990&gt;"
+        assert f">generation fingerprint: {esc_node}</text>" in svg
+        assert f'text-anchor="middle">{esc_source}</text>' in svg
+        # one tooltip per bar segment; the background is the one rect without
+        assert svg.count(f"<title>{esc_source} ") == svg.count("<rect") - 1
+        assert node not in svg and source not in svg
+        assert "<x" not in svg and "<1990" not in svg
+
 
 class TestCdfOverlay:
     def test_annotation_matches_ks_statistic(self):

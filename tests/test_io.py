@@ -1,4 +1,5 @@
 import importlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -330,14 +331,19 @@ class TestAnalyze:
         ({"seed": -1}, ValueError, "non-negative"),
         ({"scheme": BAD_LEAF}, SchemeError, r"mismatch: missing \['X'\], unused \['IN-LO-QL'\]"),
         ({"scheme": BAD_LEAF, "measure_set": "alt"}, SchemeError, "mismatch: missing"),
-    ], ids=["too-few-replicates", "negative-seed", "scheme-leaves-sf", "scheme-leaves-alt"])
+        ({"e_th": 0.0}, GraphError, "threshold must be positive and finite, got 0.0"),
+        ({"e_th": -1.0}, GraphError, "threshold must be positive and finite, got -1.0"),
+        ({"e_th": math.nan}, GraphError, "threshold must be positive and finite, got nan"),
+        ({"e_th": math.inf}, GraphError, "threshold must be positive and finite, got inf"),
+    ], ids=["too-few-replicates", "negative-seed", "scheme-leaves-sf", "scheme-leaves-alt",
+            "zero-threshold", "negative-threshold", "nan-threshold", "inf-threshold"])
     def test_bad_arguments_rejected_before_parsing(self, monkeypatch, kwargs, error, message):
         def no_parse(path):
             raise AssertionError("read the edge list before checking the arguments")
 
         monkeypatch.setattr(ccnet.io, "parse_edge_list", no_parse)
         with pytest.raises(error, match=message):
-            analyze("edges.csv", 1.0, **{"replicates": 2500, **kwargs})
+            analyze("edges.csv", **{"e_th": 1.0, "replicates": 2500, **kwargs})
 
     def test_substrate_below_test_minimum_fails_first(self, tmp_path, monkeypatch):
         # a 6-node LSCC cannot take the 8-value Anderson-Darling test; the

@@ -7,8 +7,12 @@ with the same options: the parent side from a temporary copy of ``HEAD``
 (extracted with ``git archive``), the change side from the working tree.  Pair
 k of ``PAIRS`` runs every workload on both sides at seed ``--first-seed + k``,
 the parent first in even pairs and the change first in odd pairs, the workloads
-taking turns within the pair.  Then each side makes one ``--trace 1`` run per
-workload and one ``perfbench/scale.py --n 100`` run.
+taking turns within the pair.  After each of these runs the files it left in
+``<side>/.perfbench_work/<workload>/`` (inputs, reports, figures, studies; not
+``result.json`` or ``trace.json``) are hashed into one digest, so the summary
+can say in how many pairs both sides wrote the same bytes.  Then each side
+makes one ``--trace 1`` run per workload and one ``perfbench/scale.py --n 100``
+run.
 
 Every run has ``PYTHONDONTWRITEBYTECODE=1``, and ``__pycache__`` is removed from
 both sides' ``src/`` and ``perfbench/`` first, so neither side imports
@@ -20,6 +24,7 @@ whether every check passed) go to ``BENCH_<parent short sha>.json``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -37,6 +42,8 @@ PAIRS = 10
 # the traced runs give the per-layer split, so one short run per side and workload
 TRACE_SEED = 7
 TRACE_SECONDS = 8.0
+# what perfbench/run.py writes about a run rather than what the workload made
+NOT_OUTPUTS = {"result.json", "trace.json"}
 
 
 def _git(*args: str) -> str:
@@ -65,6 +72,17 @@ def _bench(root: Path, command: list[str], workload: str, seed: int, seconds: fl
     return {"returncode": proc.returncode, "stderr": proc.stderr.strip().splitlines()[-5:]}
 
 
+def _outputs_digest(work: Path) -> str:
+    """sha256 over the sorted relative names and bytes of the files under ``work``."""
+    h = hashlib.sha256()
+    files = sorted(p for p in work.rglob("*") if p.is_file() and p.name not in NOT_OUTPUTS)
+    for path in files:
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(work).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(median), 4), "q1": round(float(q1), 4),
@@ -89,6 +107,11 @@ def _summary(runs: list[dict], workloads: list[str], metrics: list[str]) -> dict
             row[key] = {side: sum(r["result"].get(field, 0) for r in mine if r["side"] == side)
                         for side in ("parent", "change")}
         row["all_correct"] = all(r["result"].get("correct", False) for r in mine)
+        digest = {(r["side"], r["pair"]): r["outputs_sha256"]
+                  for r in mine if "outputs_sha256" in r}
+        both = [p for p in pairs if ("parent", p) in digest and ("change", p) in digest]
+        same = sum(digest["parent", p] == digest["change", p] for p in both)
+        row["outputs_identical_in_pairs"] = f"{same}/{len(both)}"
         out[wl] = row
     return out
 
@@ -121,9 +144,10 @@ def main(argv=None) -> int:
             for wl in workloads:
                 for side in order:
                     result = _bench(sides[side], command, wl, seed, seconds, 0)
+                    digest = _outputs_digest(sides[side] / ".perfbench_work" / wl)
                     runs.append({"set": "parent-vs-change", "side": side, "workload": wl,
                                  "seed": seed, "seconds": seconds, "pair": pair,
-                                 "result": result})
+                                 "result": result, "outputs_sha256": digest})
                     print(f"pair {pair} {wl} {side}: {json.dumps(result.get('metrics', result))}",
                           file=sys.stderr, flush=True)
         traced = [{"side": side, "workload": wl, "seed": TRACE_SEED,
@@ -151,6 +175,9 @@ def main(argv=None) -> int:
                    f"pair k runs both sides with seed {args.first_seed} + k "
                    f"({PAIRS} pairs), the parent first in even pairs and the change "
                    f"first in odd pairs, the workloads taking turns within each pair. "
+                   f"'outputs_sha256' hashes the sorted names and bytes of the files each "
+                   f"run left in .perfbench_work/<workload>/, result.json and trace.json "
+                   f"excepted. "
                    f"Quartiles are numpy linear percentiles over each side's runs. 'traced' "
                    f"holds one --trace 1 run per side and workload at seed {TRACE_SEED}, "
                    f"{TRACE_SECONDS:g} s. 'scale' holds one run per side of "

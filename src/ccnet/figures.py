@@ -157,7 +157,10 @@ def render_cdf_overlay(scores: Sequence[float]) -> str:
              _line(ml, sy(0.0), ml, sy(1.0))]
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(_text(ml - 8, sy(p) + 3.5, 9, _fmt(p), "end"))
-    for tick in range(int(np.ceil(x_lo)), int(np.floor(x_hi)) + 1):
+    # unit ticks up to a span of 12, then multiples of a wider step: at most 13 ticks
+    step = max(1, int(np.ceil((x_hi - x_lo) / 12)))
+    first = int(np.ceil(x_lo / step)) * step
+    for tick in range(first, int(np.floor(x_hi / step)) * step + 1, step):
         parts.append(_line(sx(tick), sy(0.0), sx(tick), sy(0.0) + 4))
         parts.append(_text(sx(tick), sy(0.0) + 16, 9, str(tick), "middle"))
 

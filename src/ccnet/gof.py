@@ -213,8 +213,7 @@ def ks_rank(observed: float, null: np.ndarray, seed: int | None) -> GoFReport:
     )
 
 
-def ks_p_value(sample, replicates: int = DEFAULT_REPLICATES,
-               seed: int | np.random.SeedSequence = 0) -> GoFReport:
+def ks_p_value(sample, replicates: int = DEFAULT_REPLICATES, seed: int = 0) -> GoFReport:
     """Monte-Carlo KS test of the standard-normal hypothesis.
 
     Draws a table of ``replicates`` null KS statistics at the observed size
@@ -225,8 +224,7 @@ def ks_p_value(sample, replicates: int = DEFAULT_REPLICATES,
     """
     observed = ks_statistic(sample)
     null = ks_null_table(len(sample), replicates, seed)
-    return ks_rank(observed, null,
-                   None if isinstance(seed, np.random.SeedSequence) else int(seed))
+    return ks_rank(observed, null, int(seed))
 
 
 def anderson_darling(sample) -> GoFReport:

@@ -167,10 +167,10 @@ def _check_edge(src: str, dst: str, w: float | str, seen: set[tuple[str, str]]) 
     return w
 
 
-def _check_threshold(e_th: float) -> None:
-    """The one threshold rule, shared by ``threshold_graph`` and ``analyze``'s argument checks."""
-    if not 0.0 < e_th < np.inf:
-        raise GraphError(f"threshold must be positive and finite, got {e_th!r}")
+def _check_positive(value: float, what: str) -> None:
+    """The one positive-and-finite rule, for thresholds and threshold factors."""
+    if not 0.0 < value < np.inf:
+        raise GraphError(f"{what} must be positive and finite, got {value!r}")
 
 
 def threshold_graph(g: WeightedDigraph, e_th: float) -> WeightedDigraph:
@@ -178,7 +178,7 @@ def threshold_graph(g: WeightedDigraph, e_th: float) -> WeightedDigraph:
 
     Nodes are retained even if isolated; a later LSCC extraction removes them.
     """
-    _check_threshold(e_th)
+    _check_positive(e_th, "threshold")
     w = np.where(g.weights >= e_th, g.weights, 0.0)
     return WeightedDigraph(g.labels, w)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
@@ -36,7 +35,7 @@ from .gof import (
     ks_rank,
     ks_statistic,
 )
-from .graph import (GraphError, GraphSummary, _check_edge, _check_threshold, build_graph,
+from .graph import (GraphError, GraphSummary, _check_edge, _check_positive, build_graph,
                     largest_scc, threshold_graph)
 from .measures import (
     STANDARD_MEASURE_NAMES,
@@ -99,11 +98,11 @@ def load_factors(path: str) -> dict[int, float]:
         try:
             year = int(parts[0])
             factor = float(parts[1])
-        except ValueError:
+            _check_positive(factor, "factor")
+        except GraphError as exc:
+            raise EdgeListError(f"{path}: line {lineno}: {exc}") from None
+        except ValueError:  # int() or float() of a field; GraphError is caught above
             raise EdgeListError(f"{path}: line {lineno}: bad year/factor pair") from None
-        if not 0.0 < factor < math.inf:
-            raise EdgeListError(f"{path}: line {lineno}: factor must be positive and finite, "
-                                f"got {parts[1]!r}")
         if year in factors:
             raise EdgeListError(f"{path}: line {lineno}: duplicate year {year}")
         factors[year] = factor
@@ -112,9 +111,8 @@ def load_factors(path: str) -> dict[int, float]:
 
 def adjust_threshold(base: float, factor: float) -> float:
     """Scale a base edge threshold by a per-year growth factor."""
-    if not (0.0 < base < math.inf and 0.0 < factor < math.inf):
-        raise ValueError(f"threshold and factor must be positive and finite, "
-                         f"got {base!r} and {factor!r}")
+    _check_positive(base, "threshold")
+    _check_positive(factor, "factor")
     return base * factor
 
 
@@ -168,7 +166,7 @@ def analyze(edges_path: str,
     read.  A G1 set with constant measures is rejected before any
     Monte-Carlo work, with one ``GraphError`` naming every constant measure.
     """
-    _check_threshold(e_th)
+    _check_positive(e_th, "threshold")
     if measure_set not in MEASURE_SETS:
         raise ValueError(f"measure_set must be one of {MEASURE_SETS}")
     check_replicates(replicates)

@@ -313,14 +313,12 @@ def summarize(g: WeightedDigraph, full: WeightedDigraph | None = None) -> GraphS
     omitted, coverage is 1.  Mean degree and strength are per-node totals
     (in plus out).
     """
-    dia = diameter(g)
-    dist = hop_distance_matrix(g).astype(float)
-    off = ~np.eye(g.n, dtype=bool)
-    mean_aspl = float(dist[off].mean())
+    dia = diameter(g)  # rejects N < 2 and unreachable pairs before the means below
+    # hop counts and degrees are integers: each mean is the quotient of an exact total
+    mean_aspl = int(hop_distance_matrix(g).sum()) / (g.n * (g.n - 1))
     f_in = maxflow_measure(g, "in")
     mean_maxflow = float(f_in.values.mean())
-    a = g.adjacency()
-    mean_degree = float((a.sum(axis=0) + a.sum(axis=1)).mean())
+    mean_degree = 2 * g.n_edges / g.n  # each edge adds one in- and one out-degree
     mean_strength = float((g.weights.sum(axis=0) + g.weights.sum(axis=1)).mean())
     _, mean_cl = clustering(g)
     cov = coverage(full, g) if full is not None else 1.0

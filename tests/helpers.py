@@ -6,7 +6,8 @@ correlated, as in the real networks this machinery targets.  The oracles are
 deliberately naive: boolean-closure reachability for components, one BFS per
 source for hop distances, exhaustive cut enumeration for max flow, one scalar
 likelihood call per exponent for the Box-Cox fit, one measure at a time for
-standardisation, every scheme pair for scheme invariance.
+standardisation, every scheme pair for scheme invariance, float matrix
+averages for the summary's mean hop distance and mean degree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ccnet import (
     StandardizedMeasure,
     TransformParams,
     WeightedDigraph,
+    build_graph,
     hop_distance_matrix,
 )
 from ccnet.gof import _log_phi, _phi
@@ -64,6 +66,25 @@ BUILTIN_TREES = {
             {"name": "QN-IN", "children": [{"name": "IN-LO-QN"}, {"name": "IN-SH-QN"}]},
             {"name": "QN-OUT", "children": [{"name": "OUT-LO-QN"}, {"name": "OUT-SH-QN"}]}]}]},
 }
+
+
+def write_edges(path: Path, g: WeightedDigraph) -> str:
+    """Write ``g`` as a ``source,target,weight`` edge list; returns the path as a string."""
+    lines = ["source,target,weight"]
+    lines += [f"{s},{t},{w!r}" for s, t, w in g.edge_list()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def cycle_graph(labels, weight: float = 1.0) -> WeightedDigraph:
+    """Directed cycle through ``labels`` in order, every edge of weight ``weight``."""
+    return build_graph([(labels[i], labels[(i + 1) % len(labels)], weight)
+                        for i in range(len(labels))])
+
+
+def complete_digraph(n: int) -> WeightedDigraph:
+    """Every ordered pair of ``n`` nodes joined by an edge of weight 1."""
+    return build_graph([(f"v{i}", f"v{j}", 1.0) for i in range(n) for j in range(n) if i != j])
 
 
 def make_tradelike(n: int, seed: int, density: float = 0.35, recip: float = 0.7,
@@ -414,3 +435,12 @@ def ks_rows_oracle(cdf_rows: np.ndarray) -> np.ndarray:
     upper = np.abs(i / n - cdf_rows)
     lower = np.abs(cdf_rows - (i - 1) / n)
     return np.max(np.maximum(upper, lower), axis=1)
+
+
+def summary_means_oracle(g: WeightedDigraph) -> tuple[float, float]:
+    """``summarize``'s mean hop distance and mean degree as it computed them
+    before it read them off exact integer totals: float matrix averages."""
+    dist = hop_distance_matrix(g).astype(float)
+    off = ~np.eye(g.n, dtype=bool)
+    a = g.adjacency()
+    return float(dist[off].mean()), float((a.sum(axis=0) + a.sum(axis=1)).mean())

@@ -44,6 +44,7 @@ from helpers import (
     min_cut_oracle,
     random_digraph,
     random_strongly_connected,
+    write_edges,
 )
 
 ALL_SCHEMES = [builtin_scheme(s) for s in ("drt", "rtd", "tdr")]
@@ -256,10 +257,7 @@ def test_criterion_7_transpose_duality():
 
 def test_criterion_8_determinism(tmp_path):
     g = make_tradelike(16, 77)
-    edges = tmp_path / "edges.csv"
-    lines = ["source,target,weight"]
-    lines += [f"{s},{t},{w!r}" for s, t, w in g.edge_list()]
-    edges.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    edges = write_edges(tmp_path / "edges.csv", g)
     e_th = float(min(w for _, _, w in g.edge_list()))
 
     from ccnet.cli import main

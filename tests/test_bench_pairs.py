@@ -62,6 +62,17 @@ def test_summary_counts_pairs_whose_outputs_are_identical():
     assert row["outputs_identical_in_pairs"] == "2/3"
 
 
+def test_source_lines_count_every_library_module_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "ccnet"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not code\n")
+    (tmp_path / "src" / "other.py").write_text("outside\n")
+    assert bench_pairs._source_lines(tmp_path) == 3
+
+
 def test_outputs_digest_covers_names_and_bytes_but_not_the_run_record(tmp_path):
     work = tmp_path / "w"
     (work / "sub").mkdir(parents=True)

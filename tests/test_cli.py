@@ -12,21 +12,18 @@ from ccnet import BUILTIN_SCHEME_IDS
 from ccnet.cli import build_parser, main
 from ccnet.gof import DEFAULT_REPLICATES
 from ccnet.io import MEASURE_SETS
-from helpers import make_tradelike
+from helpers import make_tradelike, write_edges
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli")
     g = make_tradelike(14, 9)
-    edges = base / "edges.csv"
-    lines = ["source,target,weight"]
-    lines += [f"{s},{t},{w!r}" for s, t, w in g.edge_list()]
-    edges.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    edges = write_edges(base / "edges.csv", g)
     factors = base / "factors.csv"
     factors.write_text("year,factor\n1990,1.0\n2000,2.0\n", encoding="utf-8")
     e_th = min(w for _, _, w in g.edge_list())
-    return base, str(edges), str(factors), e_th
+    return base, edges, str(factors), e_th
 
 
 def test_analyze_writes_report(workdir):
@@ -171,6 +168,16 @@ def test_error_paths_return_two(workdir, tmp_path):
     missing = str(tmp_path / "none.csv")
     assert main(["analyze", "--edges", missing, "--threshold", "1.0",
                  "--out", str(base / "no.json")]) == 2
+
+
+def test_bad_threshold_message_same_with_factor_file(workdir, capsys):
+    base, edges, factors, _ = workdir
+    errors = []
+    for extra in ([], ["--factor-file", factors, "--year", "2000"]):
+        assert main(["analyze", "--edges", edges, "--threshold", "-1", *extra,
+                     "--out", str(base / "no.json")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["ccnet: error: threshold must be positive and finite, got -1.0\n"] * 2
 
 
 def test_parser_reads_library_constants():

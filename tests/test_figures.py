@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from ccnet import analyze, ks_statistic, render_cdf_overlay, render_ngfp
-from helpers import check_golden, make_tradelike
+from helpers import check_golden, make_tradelike, write_edges
 
 
 @pytest.fixture(scope="module")
@@ -11,12 +13,9 @@ def reports(tmp_path_factory):
     base = tmp_path_factory.mktemp("figdata")
     for k, year in enumerate((1980, 1990)):
         g = make_tradelike(16, 40 + k)
-        path = base / f"edges{year}.csv"
-        lines = ["source,target,weight"]
-        lines += [f"{s},{t},{w!r}" for s, t, w in g.edge_list()]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = write_edges(base / f"edges{year}.csv", g)
         e_th = float(min(w for _, _, w in g.edge_list()))
-        out.append(analyze(str(path), e_th, seed=13, replicates=2500, year=year))
+        out.append(analyze(path, e_th, seed=13, replicates=2500, year=year))
     return out
 
 
@@ -97,6 +96,15 @@ class TestCdfOverlay:
     def test_deterministic(self):
         scores = np.random.default_rng(2).standard_normal(50)
         assert render_cdf_overlay(scores) == render_cdf_overlay(scores)
+
+    def test_x_ticks_bounded_for_a_wide_span(self):
+        # one tick per integer would write 100,000 ticks here
+        scores = np.append(np.random.default_rng(3).standard_normal(50), 1e5)
+        svg = render_cdf_overlay(scores)
+        labels = re.findall(r'<text x="[-\d.]+" y="354\.00" [^>]*>(-?\d+)</text>', svg)
+        assert 2 <= len(labels) <= 13
+        assert int(labels[-1]) <= 1e5
+        assert len(svg.encode("utf-8")) < 10_000
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ from ccnet.graph import _hop_distances
 from helpers import (
     build_graph_two_pass,
     clustering_oracle,
+    complete_digraph,
+    cycle_graph,
     hop_distances_per_source,
     largest_scc_oracle,
     make_tradelike,
@@ -36,15 +38,6 @@ from helpers import (
     scc_node_loop,
     scc_oracle,
 )
-
-
-def cycle_graph(labels):
-    edges = [(labels[i], labels[(i + 1) % len(labels)], 1.0) for i in range(len(labels))]
-    return build_graph(edges)
-
-
-def complete_digraph(n):
-    return build_graph([(f"v{i}", f"v{j}", 1.0) for i in range(n) for j in range(n) if i != j])
 
 
 class TestBuildGraph:

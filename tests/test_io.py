@@ -21,23 +21,16 @@ from ccnet import (
     report_to_json,
 )
 from ccnet.gof import ks_null_table
-from helpers import check_golden, make_tradelike
+from helpers import check_golden, make_tradelike, write_edges
 
 # the drt scheme with one standard leaf renamed away
 BAD_LEAF = builtin_scheme("drt").rename_leaf("IN-LO-QL", "X")
 
 
-def _write_edges(path, g):
-    lines = ["source,target,weight"]
-    lines += [f"{s},{t},{w!r}" for s, t, w in g.edge_list()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path)
-
-
 @pytest.fixture(scope="module")
 def edges_csv(tmp_path_factory):
     g = make_tradelike(20, 3)
-    return _write_edges(tmp_path_factory.mktemp("data") / "edges.csv", g), g
+    return write_edges(tmp_path_factory.mktemp("data") / "edges.csv", g), g
 
 
 class TestParseEdgeList:
@@ -120,6 +113,14 @@ class TestThresholdFactors:
             adjust_threshold(-1.0, 1.0)
         with pytest.raises(ValueError):
             adjust_threshold(1.0, 0.0)
+
+    @pytest.mark.parametrize("base, factor, message", [
+        (-1.0, 1.0, "threshold must be positive and finite, got -1.0"),
+        (1.0, 0.0, "factor must be positive and finite, got 0.0"),
+    ])
+    def test_message_names_the_bad_input(self, base, factor, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            adjust_threshold(base, factor)
 
     @pytest.mark.parametrize("base, factor", [
         (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("inf")),
@@ -355,7 +356,7 @@ class TestAnalyze:
         monkeypatch.setattr(ccnet.io, "standard_measure_set", never)
         monkeypatch.setattr(ccnet.io, "ks_null_table", never)
         g = make_tradelike(6, 0)
-        path = _write_edges(tmp_path / "e.csv", g)
+        path = write_edges(tmp_path / "e.csv", g)
         e_th = float(min(w for _, _, w in g.edge_list()))
         with pytest.raises(GraphError, match="has 6 nodes; .* at least 8"):
             analyze(path, e_th, replicates=2500)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccnet import (
     AXES,
@@ -20,16 +22,15 @@ from ccnet import (
     strength,
     summarize,
 )
-from helpers import make_tradelike, min_cut_oracle, random_digraph, random_strongly_connected
-
-
-def cycle_graph(labels, weight=1.0):
-    return build_graph([(labels[i], labels[(i + 1) % len(labels)], weight)
-                        for i in range(len(labels))])
-
-
-def complete_digraph(n):
-    return build_graph([(f"v{i}", f"v{j}", 1.0) for i in range(n) for j in range(n) if i != j])
+from helpers import (
+    complete_digraph,
+    cycle_graph,
+    make_tradelike,
+    min_cut_oracle,
+    random_digraph,
+    random_strongly_connected,
+    summary_means_oracle,
+)
 
 
 class TestDegreeStrength:
@@ -349,6 +350,18 @@ class TestSummarize:
         assert s.coverage == 1.0
         assert s.n_edges <= s.n * (s.n - 1)
         assert s.diameter >= int(np.ceil(s.mean_aspl))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.booleans())
+    @example(2, 0, 0.0, False)
+    @example(2, 0, 0.0, True)
+    @example(40, 0, 0.0, True)
+    def test_integer_means_equal_the_float_matrix_averages(self, n, seed, p, complete):
+        g = complete_digraph(n) if complete else random_strongly_connected(n, seed, p)
+        s = summarize(g)
+        mean_aspl, mean_degree = summary_means_oracle(g)
+        assert np.float64(s.mean_aspl).tobytes() == np.float64(mean_aspl).tobytes()
+        assert np.float64(s.mean_degree).tobytes() == np.float64(mean_degree).tobytes()
 
     def test_coverage_against_full_graph(self):
         from ccnet import largest_scc, threshold_graph

@@ -12,7 +12,8 @@ taking turns within the pair.  After each of these runs the files it left in
 ``result.json`` or ``trace.json``) are hashed into one digest, so the summary
 can say in how many pairs both sides wrote the same bytes.  Then each side
 makes one ``--trace 1`` run per workload and one ``perfbench/scale.py --n 100``
-run.
+run.  The doc also records each side's code size: the lines of
+``src/ccnet/*.py``, counted as ``wc -l`` counts them.
 
 Every run has ``PYTHONDONTWRITEBYTECODE=1``, and ``__pycache__`` is removed from
 both sides' ``src/`` and ``perfbench/`` first, so neither side imports
@@ -83,6 +84,11 @@ def _outputs_digest(work: Path) -> str:
     return h.hexdigest()
 
 
+def _source_lines(root: Path) -> int:
+    """Newline count over ``src/ccnet/*.py``, the total ``wc -l`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "ccnet").glob("*.py"))
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(median), 4), "q1": round(float(q1), 4),
@@ -136,6 +142,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         for root in sides.values():
             _drop_bytecode(root)
+        source_lines = {side: _source_lines(root) for side, root in sides.items()}
 
         runs = []
         for pair in range(PAIRS):
@@ -181,7 +188,9 @@ def main(argv=None) -> int:
                    f"Quartiles are numpy linear percentiles over each side's runs. 'traced' "
                    f"holds one --trace 1 run per side and workload at seed {TRACE_SEED}, "
                    f"{TRACE_SECONDS:g} s. 'scale' holds one run per side of "
-                   f"perfbench/scale.py --n 100, after the other runs."),
+                   f"perfbench/scale.py --n 100, after the other runs. 'source_lines' "
+                   f"counts the lines of src/ccnet/*.py on each side."),
+        "source_lines": source_lines,
         "summary": {"parent-vs-change": _summary(runs, workloads, metrics)},
         "runs": runs,
         "traced": traced,

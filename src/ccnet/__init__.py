@@ -91,7 +91,6 @@ from .simulate import (
     study_to_json,
 )
 from .io import (
-    DEFAULT_TRADE_THRESHOLD,
     AnalysisReport,
     EdgeListError,
     adjust_threshold,
@@ -100,7 +99,6 @@ from .io import (
     load_factors,
     parse_edge_list,
     report_from_json,
-    report_to_dict,
     report_to_json,
 )
 from .figures import render_cdf_overlay, render_ngfp

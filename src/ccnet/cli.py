@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ccnet: error: {exc}", file=sys.stderr)
         return 2
 
@@ -151,15 +151,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(render_cdf_overlay(scores), args.out)
         return 0
 
-    if args.command == "standardize":
-        values = _read_values(args.values)
-        sm = standardize(MeasureVector(args.name, values,
-                                       bigger_is_better=not args.smaller_is_better))
-        doc = {"name": sm.name, "values": sm.values.tolist(), "params": asdict(sm.params)}
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # argparse admits no other subcommand
+    values = _read_values(args.values)
+    sm = standardize(MeasureVector(args.name, values,
+                                   bigger_is_better=not args.smaller_is_better))
+    doc = {"name": sm.name, "values": sm.values.tolist(), "params": asdict(sm.params)}
+    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -124,19 +124,19 @@ class GenerationScores:
         return [node for node in self.nodes if node.generation == generation]
 
 
-def combine(a: StandardizedMeasure, b: StandardizedMeasure,
-            name: str | None = None) -> StandardizedMeasure:
-    """Combine two standardized measures: (a + b) / sigma_s(a + b)."""
-    return combine_set([a, b], name or f"{a.name}+{b.name}")
+def combine(a: StandardizedMeasure, b: StandardizedMeasure) -> StandardizedMeasure:
+    """Combine two standardized measures, named "a+b": (a + b) / sigma_s(a + b)."""
+    name = f"{a.name}+{b.name}"
+    values, _ = _combine(name, [a.values, b.values])
+    return StandardizedMeasure(name, values)
 
 
-def combine_set(measures: Sequence[StandardizedMeasure],
-                name: str = "COMPOSITE") -> StandardizedMeasure:
-    """Flat composite of a measure set: sum / sigma_s(sum), no intermediate steps."""
+def combine_set(measures: Sequence[StandardizedMeasure]) -> StandardizedMeasure:
+    """Flat composite "COMPOSITE" of a measure set: sum / sigma_s(sum), no intermediate steps."""
     if len(measures) < 2:
         raise ValueError("need at least 2 measures to combine")
-    values, _ = _combine(name, [m.values for m in measures])
-    return StandardizedMeasure(name, values)
+    values, _ = _combine("COMPOSITE", [m.values for m in measures])
+    return StandardizedMeasure("COMPOSITE", values)
 
 
 def _combine(name: str, parts: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
@@ -216,6 +216,8 @@ def parse_scheme(obj: dict, scheme_id: str = "custom") -> InheritanceScheme:
         if not isinstance(node, dict) or "name" not in node:
             raise SchemeError("scheme nodes must be objects with a 'name'")
         children = node.get("children", [])
+        if not isinstance(children, list):
+            raise SchemeError(f"children of scheme node {node['name']!r} must be a list")
         return SchemeNode(str(node["name"]), tuple(walk(c) for c in children))
 
     return InheritanceScheme(walk(obj), scheme_id=scheme_id)

@@ -145,6 +145,8 @@ def render_cdf_overlay(scores: Sequence[float]) -> str:
     ml, mr, mt, mb = 56.0, 20.0, 30.0, 42.0
     x_lo = min(float(x[0]), -3.0) - 0.4
     x_hi = max(float(x[-1]), 3.0) + 0.4
+    if not np.isfinite(x_hi - x_lo):
+        raise ValueError(f"scores from {x[0]:g} to {x[-1]:g} span more than the float range")
 
     def sx(v: float) -> float:
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)

@@ -47,9 +47,6 @@ from .measures import (
 from .standardize import standardize, standardize_set
 
 MEASURE_SETS = ("sf", "alt")
-# documented default edge threshold for trade-style (currency-denominated)
-# inputs, in the weight unit of the final observation year
-DEFAULT_TRADE_THRESHOLD = 1e7
 
 
 class EdgeListError(ValueError):
@@ -241,8 +238,8 @@ _META = (("source", "source"), ("year", "year"), ("threshold", "threshold"),
 _GOF_KEYS = ("test", "statistic", "p_value", "replicates", "seed", "decision")
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    return {
+def report_to_json(report: AnalysisReport) -> str:
+    doc = {
         "meta": {key: getattr(report, field) for key, field in _META},
         "summary": asdict(report.summary),
         "nodes": list(report.labels),
@@ -260,32 +257,33 @@ def report_to_dict(report: AnalysisReport) -> dict:
         ],
         "gof": [dict(zip(_GOF_KEYS, astuple(r))) for r in report.gof],
     }
-
-
-def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    """Rebuild a report from its JSON form (round-trips byte-identically)."""
+    """Rebuild a report from its JSON form (round-trips byte-identically); a
+    document of another shape raises ``ValueError``."""
     doc = json.loads(text)
-    meta = {field: doc["meta"][key] for key, field in _META}
-    summary = GraphSummary(**doc["summary"])
-    raw = tuple(MeasureVector(m["name"], np.asarray(m["values"]), m["bigger_is_better"])
-                for m in doc["raw_measures"])
-    nodes = tuple(
-        GenerationScore(g["name"], g["generation"],
-                        np.asarray(g["values"]), np.asarray(g["display_heights"]))
-        for g in doc["generations"]
-    )
-    generations = GenerationScores(meta["scheme_id"], nodes)
-    gof = tuple(GoFReport(*(r[key] for key in _GOF_KEYS)) for r in doc["gof"])
-    return AnalysisReport(
-        **meta,
-        labels=tuple(doc["nodes"]),
-        summary=summary,
-        raw_measures=raw,
-        replaced_measure=doc["replaced_measure"],
-        generations=generations,
-        gof=gof,
-    )
+    try:
+        meta = {field: doc["meta"][key] for key, field in _META}
+        summary = GraphSummary(**doc["summary"])
+        raw = tuple(MeasureVector(m["name"], np.asarray(m["values"]), m["bigger_is_better"])
+                    for m in doc["raw_measures"])
+        nodes = tuple(
+            GenerationScore(g["name"], g["generation"],
+                            np.asarray(g["values"]), np.asarray(g["display_heights"]))
+            for g in doc["generations"]
+        )
+        generations = GenerationScores(meta["scheme_id"], nodes)
+        gof = tuple(GoFReport(*(r[key] for key in _GOF_KEYS)) for r in doc["gof"])
+        return AnalysisReport(
+            **meta,
+            labels=tuple(doc["nodes"]),
+            summary=summary,
+            raw_measures=raw,
+            replaced_measure=doc["replaced_measure"],
+            generations=generations,
+            gof=gof,
+        )
+    except (KeyError, TypeError) as exc:  # a missing key, or a list where an object belongs
+        raise ValueError(f"not a ccnet report: {type(exc).__name__}: {exc}") from None

@@ -290,20 +290,20 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
     _check_sample(y, [m.name for m in measures])
 
     lo = y.min(axis=1)
-    pre_shift = np.where(lo <= 0.0, -lo + _SHIFT_MARGIN * (y.max(axis=1) - lo), 0.0)
-    y += pre_shift[:, None]  # adding 0.0 leaves an unshifted, positive row as it is
-    # a spread below the float resolution of the row's magnitude rounds the
-    # shifted minimum back to zero, where Box-Cox is undefined
-    nonpositive = y.min(axis=1) <= 0.0
-    if nonpositive.any():
-        name = measures[int(np.argmax(nonpositive))].name
-        raise DegenerateSampleError(f"measure {name!r}: the pre-shift leaves a non-positive "
-                                    "value; its spread is below the float resolution of its "
-                                    "magnitude")
-    mean_scale = y.mean(axis=1)
-    y /= mean_scale[:, None]
-
-    z = box_cox(y, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the test below names the row
+        pre_shift = np.where(lo <= 0.0, -lo + _SHIFT_MARGIN * (y.max(axis=1) - lo), 0.0)
+        y += pre_shift[:, None]  # adding 0.0 leaves an unshifted, positive row as it is
+        mean_scale = y.mean(axis=1)
+        y /= mean_scale[:, None]
+    # a spread below the row's float resolution, a mean that overflows and a value that
+    # underflows at mean one each leave a value at or below 0 (or nan), outside Box-Cox
+    bad = ~(y.min(axis=1) > 0.0)
+    if bad.any():
+        name = measures[int(np.argmax(bad))].name
+        raise DegenerateSampleError(f"measure {name!r}: the pre-shift and mean scaling leave a "
+                                    "non-positive value; its spread is below its float "
+                                    "resolution, or its magnitudes overflow or underflow")
+    z = np.log(y)
     lams = _fit_lambdas(z)
     col, power = lams[:, None], lams[:, None] != 0.0  # lam = 0 keeps ln y, as box_cox does
     with np.errstate(over="ignore"):

@@ -130,6 +130,41 @@ def test_values_file_bad_line_is_located(tmp_path, capsys, command):
     assert err == f"ccnet: error: {values}: line 4: non-numeric value 'source,target,weight'\n"
 
 
+@pytest.mark.parametrize("command, name, text, message", [
+    ("analyze", "s.json", '{"name": "top", "children": 5}',
+     "children of scheme node 'top' must be a list\n"),
+    ("analyze", "s.json", '{"name": "top", "children": null}',
+     "children of scheme node 'top' must be a list\n"),
+    ("ngfp", "r.json", "[1, 2]",
+     "not a ccnet report: TypeError: list indices must be integers or slices, not str\n"),
+    ("cdf", "r.json", '{"meta": {}}', "not a ccnet report: KeyError: 'source'\n"),
+    ("cdf", "v.txt", "-1.7e308\n0\n1\n2\n1.7e308\n",
+     "scores from -1.7e+308 to 1.7e+308 span more than the float range\n"),
+    ("standardize", "v.txt", "1e308\n1.5e308\n1.7e308\n1.1e308\n",
+     "measure 'measure': the pre-shift and mean scaling leave a non-positive value; "),
+], ids=["children-number", "children-null", "report-list", "report-empty-meta",
+        "cdf-span", "standardize-overflow"])
+def test_bad_input_is_one_error_line(workdir, tmp_path, capsys, command, name, text, message):
+    _, edges, _, e_th = workdir
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {"analyze": ["--edges", edges, "--threshold", str(e_th), "--scheme", str(path)],
+            "ngfp": ["--reports", str(path), "--node", "a"],
+            "cdf": ["--values" if name == "v.txt" else "--reports", str(path)],
+            "standardize": ["--values", str(path)]}[command]
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ccnet: error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_goes_to_stdout_without_out(tmp_path, capsys):
+    values = tmp_path / "raw.txt"
+    values.write_text("1.0\n2.0\n4.0\n8.0\n")
+    assert main(["standardize", "--values", str(values), "--name", "demo"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "demo"
+
+
 def test_cdf_requires_one_source(workdir):
     base, *_ = workdir
     assert main(["cdf", "--out", str(base / "no.svg")]) == 2

@@ -81,6 +81,7 @@ class TestCombineSet:
         a = std_normal_sm("a", 300, 3)
         b = std_normal_sm("b", 300, 4)
         assert np.array_equal(combine_set([a, b]).values, combine(a, b).values)
+        assert (combine_set([a, b]).name, combine(a, b).name) == ("COMPOSITE", "a+b")
 
     def test_identical_inputs_fixed_point(self):
         a = std_normal_sm("a", 200, 5)
@@ -117,6 +118,12 @@ class TestRunScheme:
         gens = run_scheme(scheme, [a, b])
         assert np.array_equal(gens.root().values, combine(a, b).values)
         assert gens.root().generation == 2
+
+    def test_unknown_node_name_is_a_key_error(self):
+        gens = run_scheme(builtin_scheme("drt"), orthonormal_leaves(50, 1))
+        assert gens["COMPOSITE"] is gens.root()
+        with pytest.raises(KeyError, match="no-such-node"):
+            gens["no-such-node"]
 
     def test_sibling_heights_sum_to_parent(self):
         sm = [standardize(m) for m in correlated_measures(200, 1)]
@@ -264,6 +271,9 @@ class TestSchemeSerialization:
             ({"name": "top", "children": [
                 {"name": "top", "children": [{"name": "a"}, {"name": "b"}]}, {"name": "a"}]},
              leaf_once),
+            ({"name": "top", "children": 5}, "^children of scheme node 'top' must be a list$"),
+            ({"name": "top", "children": [{"name": "a"}, {"name": "x", "children": None}]},
+             "^children of scheme node 'x' must be a list$"),
         ]:
             with pytest.raises(SchemeError, match=message):
                 parse_scheme(tree)

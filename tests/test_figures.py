@@ -53,6 +53,10 @@ class TestNgfp:
         with pytest.raises(ValueError, match="missing"):
             render_ngfp(reports, "no-such-node")
 
+    def test_no_report_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one report$"):
+            render_ngfp([], "a")
+
     def test_scheme_mismatch_rejected(self, reports):
         import dataclasses
 
@@ -109,3 +113,11 @@ class TestCdfOverlay:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             render_cdf_overlay(np.array([]))
+
+    @pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (-1e308, 1e308)])
+    def test_span_beyond_the_float_range_rejected(self, lo, hi):
+        scores = np.append(np.random.default_rng(4).standard_normal(10), [lo, hi])
+        with pytest.raises(ValueError, match="span more than the float range"):
+            render_cdf_overlay(scores)
+        # half the span is finite, so the axis scales
+        assert render_cdf_overlay(np.append(scores[:10], hi)).startswith("<svg")

@@ -264,6 +264,13 @@ class TestKsNull:
         monkeypatch.setattr(ccnet.gof, "_BLOCK", _CHUNK_DRAWS if rows is None else rows * n)
         assert np.array_equal(ks_null_table(n, b, seed=6), reference)
 
+    def test_cores_counted_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(ccnet.gof.os, "sched_getaffinity")
+        monkeypatch.setattr(ccnet.gof.os, "cpu_count", lambda: 3)
+        assert ccnet.gof._usable_cores() == 3
+        monkeypatch.setattr(ccnet.gof.os, "cpu_count", lambda: None)
+        assert ccnet.gof._usable_cores() == 1
+
     def test_one_chunk_table_starts_no_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("built an executor for a one-chunk table")

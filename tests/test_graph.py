@@ -18,6 +18,7 @@ from ccnet import (
     coverage,
     diameter,
     edge_density,
+    eigenvector_centrality,
     graph_asymmetry,
     hop_distance_matrix,
     largest_scc,
@@ -71,6 +72,29 @@ class TestBuildGraph:
     def test_empty_label_rejected(self):
         with pytest.raises(GraphError):
             build_graph([("", "b", 1.0)])
+
+    @pytest.mark.parametrize("labels, weights, message", [
+        (("a", "b"), np.zeros((2, 3)), r"weight matrix shape \(2, 3\) does not match 2 labels"),
+        (("a", "a"), np.zeros((2, 2)), "node labels must be unique"),
+        (("a", ""), np.zeros((2, 2)), "node labels must be non-empty strings"),
+        (("a", "b"), [[0.0, np.nan], [1.0, 0.0]], "weights must be finite"),
+        (("a", "b"), [[0.0, -1.0], [1.0, 0.0]], "weights must be non-negative"),
+        (("a", "b"), [[1.0, 1.0], [1.0, 0.0]], "self-loops are not allowed"),
+    ], ids=["shape", "duplicate-label", "empty-label", "nan-weight", "negative-weight",
+            "self-loop"])
+    def test_digraph_invariants_enforced(self, labels, weights, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            WeightedDigraph(labels, np.asarray(weights))
+
+    @pytest.mark.parametrize("node, message", [
+        ("z", "unknown node label 'z'"), (2, "node index 2 out of range"),
+        (-1, "node index -1 out of range"),
+    ])
+    def test_index_rejects_unknown_nodes(self, node, message):
+        g = build_graph([("a", "b", 1.0)])
+        assert (g.index("b"), g.index(1)) == (1, 1)
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            g.index(node)
 
 
 class TestThreshold:
@@ -212,6 +236,16 @@ class TestAsymmetry:
         g = threshold_graph(build_graph([("a", "b", 1.0)]), 5.0)
         with pytest.raises(GraphError):
             graph_asymmetry(g)
+
+
+@pytest.mark.parametrize("fn, name", [
+    (edge_density, "edge density"), (diameter, "diameter"),
+    (algebraic_connectivity, "algebraic connectivity"),
+    (eigenvector_centrality, "eigenvector centrality"),
+])
+def test_one_node_graph_rejected(fn, name):
+    with pytest.raises(GraphError, match=f"^{name} needs at least 2 nodes$"):
+        fn(WeightedDigraph(("a",), np.zeros((1, 1))))
 
 
 class TestEdgeDensity:
@@ -366,6 +400,16 @@ class TestCoverage:
         other = build_graph([("a", "b", 2.0)])
         with pytest.raises(GraphError):
             coverage(full, other)
+
+    @pytest.mark.parametrize("full, reduced, message", [
+        (build_graph([("a", "b", 1.0)]), build_graph([("a", "c", 1.0)]),
+         "node 'a' or 'c' not present in the full graph"),
+        (WeightedDigraph(("a",), np.zeros((1, 1))), WeightedDigraph(("a",), np.zeros((1, 1))),
+         "full graph has no edge weight"),
+    ], ids=["foreign-node", "no-weight"])
+    def test_bad_pair_rejected(self, full, reduced, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            coverage(full, reduced)
 
     def test_lsctg_pipeline_coverage(self):
         g = make_tradelike(15, 1)
@@ -530,6 +574,8 @@ class TestAgainstLoopOracles:
     def test_empty_graph_has_no_components(self):
         g = WeightedDigraph((), np.zeros((0, 0)))
         assert strongly_connected_components(g) == scc_node_loop(g) == []
+        with pytest.raises(GraphError, match="^empty graph has no components$"):
+            largest_scc(g)
 
     def test_tied_cycles_interleaved_keep_smallest_member_order(self):
         g = disjoint_cycles(3, 3, 2, 3)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from ccnet import (
     parse_edge_list,
     report_from_json,
     report_to_json,
+    scheme_to_dict,
 )
 from ccnet.gof import ks_null_table
 from helpers import check_golden, make_tradelike, write_edges
@@ -51,7 +53,9 @@ class TestParseEdgeList:
         ("b,c,inf", "weight inf"),
         (",c,1", "non-empty"),
         ("a,b,2", "duplicate"),
-    ], ids=["self-loop", "zero-weight", "inf-weight", "empty-label", "duplicate"])
+        ("a," + "x" * 131_073 + ",1", "field larger than field limit"),
+    ], ids=["self-loop", "zero-weight", "inf-weight", "empty-label", "duplicate",
+            "over-field-limit"])
     def test_self_loop_line_number(self, tmp_path, row, reason):
         p = tmp_path / "e.csv"
         p.write_text(f"source,target,weight\na,b,1\n\n{row}\n")
@@ -103,9 +107,7 @@ class TestParseEdgeList:
 
 class TestThresholdFactors:
     def test_adjust(self):
-        from ccnet import DEFAULT_TRADE_THRESHOLD
-
-        assert adjust_threshold(DEFAULT_TRADE_THRESHOLD, 1.0) == 1e7
+        assert adjust_threshold(1e7, 1.0) == 1e7
         assert adjust_threshold(2000.0, 0.5) == 1000.0
 
     def test_positive_required(self):
@@ -154,6 +156,16 @@ class TestThresholdFactors:
         p = tmp_path / "f.csv"
         p.write_text("year,factor\n1990,1.0\n1990,2.0\n")
         with pytest.raises(EdgeListError, match=r"f\.csv: line 3: duplicate year 1990$"):
+            load_factors(str(p))
+
+    @pytest.mark.parametrize("row, message", [
+        ("1991,2.0,3", "expected 2 columns"),
+        ("1991.5,2.0", "bad year/factor pair"),
+    ], ids=["three-columns", "non-integer-year"])
+    def test_factor_file_bad_row_located(self, tmp_path, row, message):
+        p = tmp_path / "f.csv"
+        p.write_text(f"year,factor\n1990,1.0\n{row}\n")
+        with pytest.raises(EdgeListError, match=rf"f\.csv: line 3: {message}$"):
             load_factors(str(p))
 
 
@@ -291,6 +303,31 @@ class TestAnalyze:
         e_th = float(min(w for _, _, w in g.edge_list()))
         text = report_to_json(analyze(path, e_th, seed=1, replicates=2500))
         assert report_to_json(report_from_json(text)) == text
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "TypeError: list indices must be integers or slices, not str"),
+        ('{"meta": {}}', "KeyError: 'source'"),
+        ("null", "TypeError: 'NoneType' object is not subscriptable"),
+    ], ids=["list", "empty-meta", "null"])
+    def test_wrong_shape_is_not_a_report(self, text, message):
+        with pytest.raises(ValueError, match=f"^not a ccnet report: {message}$"):
+            report_from_json(text)
+
+    def test_scheme_json_path_runs_as_the_builtin(self, edges_csv, tmp_path):
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        scheme = tmp_path / "rtd.json"
+        scheme.write_text(json.dumps(scheme_to_dict(builtin_scheme("rtd"))))
+        custom = analyze(path, e_th, scheme=str(scheme), seed=1, replicates=2500)
+        assert custom.scheme_id == str(scheme)
+        builtin = analyze(path, e_th, scheme="rtd", seed=1, replicates=2500)
+        assert report_to_json(replace(custom, scheme_id="rtd")) == report_to_json(builtin)
+
+    def test_header_only_edge_list_rejected(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("source,target,weight\n")
+        with pytest.raises(GraphError, match="^empty graph has no components$"):
+            analyze(str(p), 1.0, replicates=2500)
 
     def test_round_trip_keeps_the_generation_order(self, edges_csv):
         # one order in memory: a fresh report and its reloaded copy list the

@@ -9,6 +9,7 @@ from ccnet import (
     AXES,
     STANDARD_MEASURE_NAMES,
     GraphError,
+    MeasureVector,
     WeightedDigraph,
     aspl,
     build_graph,
@@ -63,6 +64,16 @@ class TestDegreeStrength:
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             degree(complete_digraph(3), "sideways")
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[1.0, 2.0], [3.0, 4.0]], "measure values must be a 1-D vector"),
+    ([1.0, np.inf, 2.0], "measure 'm' contains non-finite values"),
+    ([1.0, np.nan, 2.0], "measure 'm' contains non-finite values"),
+], ids=["two-d", "inf", "nan"])
+def test_measure_vector_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MeasureVector("m", values)
 
 
 class TestAspl:

@@ -65,6 +65,15 @@ class TestSampleArb:
         with pytest.raises(ValueError):
             ArbMeasureSpec(pareto_alpha=-1.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"normal_sigma": 0.0}, "sigma parameters must be positive"),
+        ({"lognormal_sigma": -1.0}, "sigma parameters must be positive"),
+        ({"exponential_mu": 0.0}, "exponential parameter must be positive"),
+    ])
+    def test_each_bad_parameter_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ArbMeasureSpec(**kwargs)
+
 
 def _seeds(kind):
     """Two equal, unspawned seeds of one kind: one for the call, one for the oracle."""
@@ -280,6 +289,19 @@ class TestStudy:
                 "replicates": 2500, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=f"^{message}"):
             gof_vs_n_study(**args)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows.reverse(), "sizes must be strictly increasing"),
+        (lambda rows: rows[0].update(p_lo=rows[0]["p_mean"] + 0.5),
+         "confidence bands must contain their means"),
+    ], ids=["decreasing-sizes", "band-misses-mean"])
+    def test_bad_study_document_rejected(self, edit, message):
+        study = gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=4,
+                               replicates=2500, seed=4)
+        doc = json.loads(study_to_json(study))
+        edit(doc["rows"])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            study_from_json(json.dumps(doc))
 
     def test_serialization_round_trip(self):
         study = gof_vs_n_study(sizes=(50, 100), p_realizations=2, stat_realizations=4,

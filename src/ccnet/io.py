@@ -160,8 +160,8 @@ def analyze(edges_path: str,
     KS p-value by eigenvector centrality (leaf renamed to "EC" in the scheme).
     A bad threshold, measure set, replicate count, seed or scheme (leaves
     other than the eight standard names) fails before the edge list is
-    read.  A G1 set with constant measures is rejected before any
-    Monte-Carlo work, with one ``GraphError`` naming every constant measure.
+    read.  ``standardize_set`` rejects a G1 set with constant measures before
+    any Monte-Carlo work, naming every constant measure in one message.
     """
     _check_positive(e_th, "threshold")
     if measure_set not in MEASURE_SETS:
@@ -181,17 +181,9 @@ def analyze(edges_path: str,
     summary = summarize(lsctg, full=full)
 
     raw = standard_measure_set(lsctg)
-    # policy: reject a constant measure, never drop it from the scheme
-    constant = [m.name for m in raw if np.all(m.values == m.values[0])]
-    if constant:
-        raise GraphError(f"measures constant over the {lsctg.n}-node largest strongly "
-                         f"connected component: {', '.join(constant)}; "
-                         "standardisation needs spread")
-
+    g1 = standardize_set(raw)  # policy: reject a constant measure, never drop it
     # one KS null table for every test below: all samples have lsctg.n values
     null = ks_null_table(lsctg.n, replicates, null_seed)
-
-    g1 = standardize_set(raw)
     replaced: str | None = None
     if measure_set == "alt":
         p_values = [ks_rank(ks_statistic(m.values), null, seed).p_value for m in g1]
@@ -261,8 +253,8 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    """Rebuild a report from its JSON form (round-trips byte-identically); a
-    document of another shape raises ``ValueError``."""
+    """Rebuild a report from its JSON form (round-trips byte-identically); ``ValueError``
+    for a document of another shape, with no generation or an array not as long as ``nodes``."""
     doc = json.loads(text)
     try:
         meta = {field: doc["meta"][key] for key, field in _META}
@@ -274,6 +266,14 @@ def report_from_json(text: str) -> AnalysisReport:
                             np.asarray(g["values"]), np.asarray(g["display_heights"]))
             for g in doc["generations"]
         )
+        if not nodes:
+            raise ValueError("not a ccnet report: no generation")
+        n = len(doc["nodes"])
+        for name, v in [(m.name, m.values) for m in raw] + [
+                (g.name, v) for g in nodes for v in (g.values, g.display_heights)]:
+            if np.shape(v) != (n,):
+                raise ValueError(f"not a ccnet report: {name!r} has {np.size(v)} values "
+                                 f"for {n} nodes")
         generations = GenerationScores(meta["scheme_id"], nodes)
         gof = tuple(GoFReport(*(r[key] for key in _GOF_KEYS)) for r in doc["gof"])
         return AnalysisReport(

@@ -74,11 +74,12 @@ class SizeResult:
 
 @dataclass(frozen=True)
 class StudyResult:
-    rows: tuple[SizeResult, ...]
+    # study_to_json writes these fields in this order
     p_realizations: int
     stat_realizations: int
     replicates: int
     seed: int
+    rows: tuple[SizeResult, ...]
 
     def __post_init__(self) -> None:
         sizes = [r.size for r in self.rows]
@@ -189,7 +190,8 @@ def gof_vs_n_study(sizes: Sequence[int] = (100, 1_000, 10_000),
             **_band("comp_ks", comp_stats[:stat_realizations]),
             **_band("null_ks", null_stats),
         ))
-    return StudyResult(tuple(rows), p_realizations, stat_realizations, replicates, seed)
+    return StudyResult(p_realizations=p_realizations, stat_realizations=stat_realizations,
+                       replicates=replicates, seed=seed, rows=tuple(rows))
 
 
 def max_error_estimate(study: StudyResult, n: int) -> float:
@@ -218,18 +220,9 @@ def study_to_csv(study: StudyResult) -> str:
 
 
 def study_to_json(study: StudyResult) -> str:
-    doc = {
-        "p_realizations": study.p_realizations,
-        "stat_realizations": study.stat_realizations,
-        "replicates": study.replicates,
-        "seed": study.seed,
-        "rows": [asdict(row) for row in study.rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(study), indent=2) + "\n"
 
 
 def study_from_json(text: str) -> StudyResult:
     doc = json.loads(text)
-    rows = tuple(SizeResult(**row) for row in doc["rows"])
-    return StudyResult(rows, doc["p_realizations"], doc["stat_realizations"],
-                       doc["replicates"], doc["seed"])
+    return StudyResult(**{**doc, "rows": tuple(SizeResult(**row) for row in doc["rows"])})

@@ -5,7 +5,7 @@ The recipe, applied to a positive-valued raw measure:
 0. if any value is non-positive, pre-shift the whole sample slightly above zero;
 1. rescale to mean one, fit the Box-Cox exponent by maximum likelihood and
    transform -- the transform is kept only if it strictly reduced the absolute
-   sample skewness;
+   sample skewness, so a sample with two distinct values keeps the identity;
 2. subtract the sample mean;
 3. divide by the sample standard deviation (Bessel, n-1);
 4. negate when the measure's convention is smaller-is-better.
@@ -135,9 +135,13 @@ def _mean_one_log(xs) -> tuple[np.ndarray, float]:
     """ln(x / c) of a valid sample, and c = mean(x)."""
     xs = np.asarray(xs, dtype=float)
     _check_sample(xs)
-    box_cox(xs, 0.0)  # rejects a non-positive sample before rescaling
-    c = float(xs.mean())
-    return box_cox(xs / c, 0.0), c
+    with np.errstate(all="ignore"):  # an overflowing mean or an underflow leaves x / c <= 0
+        c = float(xs.mean())
+        y = xs / c
+    if not (np.all(xs > 0.0) and np.all(y > 0.0)):
+        raise ValueError("Box-Cox input must be strictly positive, with a mean that does "
+                         "not overflow and no value that underflows at mean one")
+    return np.log(y), c
 
 
 def _fit_lambdas(logx: np.ndarray) -> np.ndarray:
@@ -271,9 +275,9 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
     exponents are fitted in lock step (``_fit_lambdas``).  Row by row the
     arithmetic is the one-measure recipe's, so each result equals
     ``standardize`` of that measure bit for bit.  An empty set, unequal
-    lengths, and a constant or too-short measure (the first in order) are
-    rejected before any fit, as is a measure whose spread is too small for
-    the pre-shift to lift its minimum above zero.
+    lengths, too-short measures and constant ones (every one named, in one
+    message) are rejected before any fit, as is a measure whose spread is
+    too small for the pre-shift to lift its minimum above zero.
     """
     measures = list(measures)
     if not measures:
@@ -297,12 +301,14 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
         y /= mean_scale[:, None]
     # a spread below the row's float resolution, a mean that overflows and a value that
     # underflows at mean one each leave a value at or below 0 (or nan), outside Box-Cox
-    bad = ~(y.min(axis=1) > 0.0)
-    if bad.any():
-        name = measures[int(np.argmax(bad))].name
+    y_lo, y_hi = y.min(axis=1, keepdims=True), y.max(axis=1, keepdims=True)
+    if not np.all(y_lo > 0.0):
+        name = measures[int(np.argmin(y_lo > 0.0))].name
         raise DegenerateSampleError(f"measure {name!r}: the pre-shift and mean scaling leave a "
                                     "non-positive value; its spread is below its float "
                                     "resolution, or its magnitudes overflow or underflow")
+    # an increasing transform cannot change a two-valued row's standardised |skewness|
+    two_valued = np.all((y == y_lo) | (y == y_hi), axis=1)
     z = np.log(y)
     lams = _fit_lambdas(z)
     col, power = lams[:, None], lams[:, None] != 0.0  # lam = 0 keeps ln y, as box_cox does
@@ -310,7 +316,7 @@ def standardize_set(measures: Sequence[MeasureVector]) -> list[StandardizedMeasu
         np.multiply(z, col, out=z, where=power)
         np.expm1(z, out=z, where=power)
         np.divide(z, col, out=z, where=power)
-    keep = np.abs(_skewness_rows(z)) < np.abs(_skewness_rows(y))
+    keep = ~two_valued & (np.abs(_skewness_rows(z)) < np.abs(_skewness_rows(y)))
     z[~keep] = y[~keep]
 
     post_mean = z.mean(axis=1)
@@ -355,15 +361,15 @@ def _check_sample(xs: np.ndarray, names: Sequence[str] | None = None) -> None:
     """Reject a sample that is too short or constant.
 
     With ``names`` each row of ``xs`` is one sample, and the message names
-    the measure of the first row at fault.
+    every constant measure, in row order (or the first, when rows are too short).
     """
     rows = xs if names is not None else xs.reshape(1, -1)
     n = rows.shape[1]
-    if n < 3:
-        bad, reason = 0, f"need at least 3 values, got {n}"
-    else:
-        constant = np.all(rows == rows[:, :1], axis=1)
-        if not constant.any():
-            return
-        bad, reason = int(np.argmax(constant)), "sample is constant"
-    raise DegenerateSampleError(reason if names is None else f"measure {names[bad]!r}: {reason}")
+    bad = [0] if n < 3 else np.flatnonzero(np.all(rows == rows[:, :1], axis=1)).tolist()
+    if bad:
+        reason = (f"need at least 3 values, got {n}" if n < 3
+                  else "sample is constant" if len(bad) == 1 else "samples are constant")
+        if names is not None:
+            named = ", ".join(repr(names[i]) for i in bad)
+            reason = f"measure{'s' if len(bad) > 1 else ''} {named}: {reason}"
+        raise DegenerateSampleError(reason)

@@ -374,7 +374,8 @@ def skewness_oracle(xs: np.ndarray) -> float:
 def standardize_oracle(measure: MeasureVector) -> StandardizedMeasure:
     """The standardisation recipe on one measure, as it ran before measure
     sets were fitted together: pre-shift, mean scale, ``fit_lambda_oracle``,
-    keep the transform only if it lowers |skewness|, then the moments."""
+    keep the transform only if it lowers |skewness| of a sample with more
+    than two distinct values, then the moments."""
     x = np.asarray(measure.values, dtype=float)
     if x.size < 3:
         raise DegenerateSampleError(f"measure {measure.name!r}: need at least 3 values, got {x.size}")
@@ -392,7 +393,9 @@ def standardize_oracle(measure: MeasureVector) -> StandardizedMeasure:
         t = np.log(y) if lam == 0.0 else np.expm1(lam * np.log(y)) / lam
     used = None
     z = y
-    if abs(skewness_oracle(t)) < abs(skewness_oracle(y)):
+    # an increasing transform cannot change a two-valued sample's standardised
+    # |skewness|, so such a sample keeps the identity
+    if np.unique(y).size > 2 and abs(skewness_oracle(t)) < abs(skewness_oracle(y)):
         z, used = t, lam
     post_mean = float(z.mean())
     z = z - post_mean

@@ -158,6 +158,34 @@ def test_bad_input_is_one_error_line(workdir, tmp_path, capsys, command, name, t
     assert not (tmp_path / "out").exists()
 
 
+def _no_generations(doc):
+    doc["generations"] = []
+    return "no generation"
+
+
+def _short_display_heights(doc):
+    root = doc["generations"][0]
+    root["display_heights"] = root["display_heights"][:2]
+    return f"{root['name']!r} has 2 values for {len(doc['nodes'])} nodes"
+
+
+@pytest.mark.parametrize("command, edit", [("cdf", _no_generations),
+                                           ("ngfp", _short_display_heights)],
+                         ids=["cdf-no-generations", "ngfp-short-display-heights"])
+def test_inconsistent_report_is_one_error_line(workdir, tmp_path, capsys, command, edit):
+    _, edges, _, e_th = workdir
+    report = tmp_path / "r.json"
+    assert main(["analyze", "--edges", edges, "--threshold", str(e_th), "--replicates", "2500",
+                 "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    message = edit(doc)
+    report.write_text(json.dumps(doc))
+    node = ["--node", doc["nodes"][0]] if command == "ngfp" else []
+    assert main([command, "--reports", str(report), *node, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"ccnet: error: not a ccnet report: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_goes_to_stdout_without_out(tmp_path, capsys):
     values = tmp_path / "raw.txt"
     values.write_text("1.0\n2.0\n4.0\n8.0\n")

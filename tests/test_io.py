@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import ccnet.io
 from ccnet import (
+    DegenerateSampleError,
     EdgeListError,
     GraphError,
     MeasureVector,
@@ -313,6 +315,22 @@ class TestAnalyze:
         with pytest.raises(ValueError, match=f"^not a ccnet report: {message}$"):
             report_from_json(text)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(generations=[]), "no generation"),
+        (lambda doc: doc["raw_measures"][2].update(values=[1.0]), "'IN-SH-QL' has 1 values"),
+        (lambda doc: doc["generations"][1].update(values=[[1.0, 2.0]] * 20), "'IN' has 40 values"),
+        (lambda doc: doc["generations"][0]["display_heights"].append(0.0),
+         "'COMPOSITE' has 21 values"),
+    ], ids=["no-generations", "short-raw-measure", "nested-values", "long-display-heights"])
+    def test_arrays_unlike_nodes_are_not_a_report(self, edges_csv, edit, message):
+        path, g = edges_csv
+        e_th = float(min(w for _, _, w in g.edge_list()))
+        doc = json.loads(report_to_json(analyze(path, e_th, seed=0, replicates=2500)))
+        assert len(doc["nodes"]) == 20
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^not a ccnet report: {message}"):
+            report_from_json(json.dumps(doc))
+
     def test_scheme_json_path_runs_as_the_builtin(self, edges_csv, tmp_path):
         path, g = edges_csv
         e_th = float(min(w for _, _, w in g.edge_list()))
@@ -434,9 +452,9 @@ class TestAnalyze:
             path = tmp_path / "edges.csv"
             path.write_text("source,target,weight\n"
                             + "".join(f"{s},{t},{w!r}\n" for s, t, w in edges))
-            with pytest.raises(GraphError, match="8-node") as err:
+            message = f"measures {', '.join(map(repr, names))}: samples are constant"
+            with pytest.raises(DegenerateSampleError, match=f"^{re.escape(message)}$"):
                 analyze(str(path), 0.5, replicates=2500)
-            assert str(err.value).split(": ")[1].split("; ")[0] == ", ".join(names)
 
     def test_non_degenerate_report_bytes_unchanged(self, edges_csv):
         path, g = edges_csv

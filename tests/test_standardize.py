@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -300,6 +300,16 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="strictly positive"):
             box_cox_loglik(np.array([1.0, -2.0, 3.0]), 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("xs, what", [([1e308, 1.5e308, 1.7e308, 1.1e308], "overflow"),
+                                          ([5e-324, 1.0, 2.0, 3.0, 1e300], "underflows")],
+                             ids=["mean-overflow", "value-underflow"])
+    def test_positive_input_beyond_the_float_range_at_mean_one_is_named(self, xs, what):
+        with pytest.raises(ValueError, match=what):
+            fit_lambda(np.array(xs))
+        with pytest.raises(ValueError, match=what):
+            box_cox_loglik(np.array(xs), 0.5)
+
 
 class TestSkewness:
     def test_symmetric_is_zero(self):
@@ -387,6 +397,18 @@ class TestStandardize:
             if sm.params.box_cox_lambda is not None:
                 t = box_cox(y, sm.params.box_cox_lambda)
                 assert abs(skewness(t)) < abs(skewness(y))
+
+    @pytest.mark.parametrize("raw", [[1.0, 2.0, 2.0], [2.0, 1.0, 1.0], [0.442, 0.442, 0.157, 0.157],
+                                     [0.0, -0.001, 0.0]])
+    def test_two_valued_sample_keeps_the_identity(self, raw):
+        # an increasing transform leaves a two-valued sample's standardised
+        # values, and so its |skewness|, as they are: it cannot reduce them
+        raw = np.array(raw)
+        ln = MeasureVector("ln", np.random.default_rng(0).lognormal(0.0, 1.0, raw.size))
+        sm = standardize_set([ln, MeasureVector("two", raw)])[1]
+        assert sm.params.box_cox_lambda is None
+        assert np.allclose(sm.values, (raw - raw.mean()) / raw.std(ddof=1), rtol=0.0, atol=1e-12)
+        _assert_matches_oracle([ln, MeasureVector("two", raw)])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(21)
@@ -573,13 +595,21 @@ class TestStandardizeSet:
                   elements=st.one_of(st.integers(-10**6, 10**6).map(lambda k: k / 1000.0),
                                      st.floats(1e-3, 1e3))),
            st.integers(0, 31))
+    # two distinct values, where the transform must be rejected whatever the rounding
+    @example(np.array([[0.0, -0.001, 0.0]]), 0)
+    # two constant rows, named in one message
+    @example(np.array([[1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [1.0, 5.0, 2.0], [0.0, 0.0, 0.0]]), 0)
     def test_property_matches_oracle(self, x, smaller):
         measures = [MeasureVector(f"m{i}", row, bigger_is_better=not (smaller >> i) & 1)
                     for i, row in enumerate(x)]
+        constant = [repr(m.name) for m in measures if np.all(m.values == m.values[0])]
         try:
             expected = [standardize_oracle(m) for m in measures]
         except DegenerateSampleError as exc:
-            with pytest.raises(DegenerateSampleError, match=re.escape(str(exc))):
+            # the oracle names the first constant measure; the set names them all
+            message = (f"measures {', '.join(constant)}: samples are constant"
+                       if len(constant) > 1 else str(exc))
+            with pytest.raises(DegenerateSampleError, match=re.escape(message)):
                 standardize_set(measures)
             return
         for sm, ref in zip(standardize_set(measures), expected):
@@ -607,12 +637,15 @@ class TestStandardizeSetRejects:
         with pytest.raises(ValueError, match=r"'a' has 20 values, 'b' has 19"):
             standardize_set([a, a, b])
 
-    def test_first_constant_measure_named(self):
+    def test_every_constant_measure_named(self):
         good = MeasureVector("good", np.arange(1.0, 11.0))
+        flat = MeasureVector("flat", np.full(10, 2.0))
         with pytest.raises(DegenerateSampleError,
-                           match=re.escape("measure 'flat': sample is constant")):
-            standardize_set([good, MeasureVector("flat", np.full(10, 2.0)), good,
-                             MeasureVector("flat-too", np.zeros(10))])
+                           match=r"^measure 'flat': sample is constant$"):
+            standardize_set([good, flat, good])
+        with pytest.raises(DegenerateSampleError,
+                           match=r"^measures 'flat', 'flat-too': samples are constant$"):
+            standardize_set([good, flat, good, MeasureVector("flat-too", np.zeros(10))])
 
     def test_too_short_measure_named(self):
         with pytest.raises(DegenerateSampleError,

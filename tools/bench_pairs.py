@@ -19,7 +19,8 @@ Every run has ``PYTHONDONTWRITEBYTECODE=1``, and ``__pycache__`` is removed from
 both sides' ``src/`` and ``perfbench/`` first, so neither side imports
 bytecode that the other has to compile.  The runs and their summary (medians,
 quartiles, the pairs in which the change read lower, operation counts and
-whether every check passed) go to ``BENCH_<parent short sha>.json``.
+whether every check passed, and the ``gain_resolved`` and ``within_bound``
+verdicts of ``_summary``) go to ``BENCH_<parent short sha>.json``.
 """
 
 from __future__ import annotations
@@ -90,12 +91,20 @@ def _source_lines(root: Path) -> int:
 
 
 def _quartiles(values: list[float]) -> dict:
+    if not values:  # every run of this side crashed
+        return {"n": 0}
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(median), 4), "q1": round(float(q1), 4),
             "q3": round(float(q3), 4), "n": len(values)}
 
 
-def _summary(runs: list[dict], workloads: list[str], metrics: list[str]) -> dict:
+def _summary(runs: list[dict], workloads: list[str], metrics: dict[str, float]) -> dict:
+    """Per workload and end-to-end metric (name -> relative bound; lower is better):
+    each side's quartiles, the pairs in which the change read lower, and two verdicts.
+    ``gain_resolved``: the change read lower in at least nine tenths of the pairs
+    run (ties count for neither), and its median is below the parent's by more
+    than the parent's quartile distance.  ``within_bound``: the change's median
+    exceeds the parent's by no more than the bound."""
     out = {}
     for wl in workloads:
         mine = [r for r in runs if r["workload"] == wl]
@@ -103,12 +112,20 @@ def _summary(runs: list[dict], workloads: list[str], metrics: list[str]) -> dict
                  for r in mine if "metrics" in r["result"] for m in metrics}
         pairs = sorted({r["pair"] for r in mine})
         row: dict = {}
-        for m in metrics:
+        for m, bound in metrics.items():
             both = [p for p in pairs if ("parent", p, m) in value and ("change", p, m) in value]
             lower = sum(value["change", p, m] < value["parent", p, m] for p in both)
-            row[m] = {side: _quartiles([v for (s, _, k), v in value.items() if s == side and k == m])
+            values = {side: [v for (s, _, k), v in value.items() if s == side and k == m]
                       for side in ("parent", "change")}
+            row[m] = {side: _quartiles(v) for side, v in values.items()}
             row[m]["change_lower_in_pairs"] = f"{lower}/{len(both)}"
+            row[m]["gain_resolved"] = row[m]["within_bound"] = False
+            if values["parent"] and values["change"]:
+                q1, parent, q3 = np.percentile(values["parent"], [25, 50, 75])
+                change = np.median(values["change"])
+                row[m]["gain_resolved"] = bool(10 * lower >= 9 * len(pairs)
+                                               and parent - change > q3 - q1)
+                row[m]["within_bound"] = bool(change <= parent * (1.0 + bound))
         for key, field in (("failed_ops", "failed"), ("attempted_ops", "attempted")):
             row[key] = {side: sum(r["result"].get(field, 0) for r in mine if r["side"] == side)
                         for side in ("parent", "change")}
@@ -132,7 +149,7 @@ def main(argv=None) -> int:
     command = spec["command"]
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    metrics = [m["name"] for m in spec["end_to_end"]]
+    metrics = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent = _git("rev-parse", "--short=7", "HEAD")
 
     with tempfile.TemporaryDirectory(prefix=f"bench-{parent}-") as tmp:
@@ -185,7 +202,12 @@ def main(argv=None) -> int:
                    f"'outputs_sha256' hashes the sorted names and bytes of the files each "
                    f"run left in .perfbench_work/<workload>/, result.json and trace.json "
                    f"excepted. "
-                   f"Quartiles are numpy linear percentiles over each side's runs. 'traced' "
+                   f"Quartiles are numpy linear percentiles over each side's runs. "
+                   f"'gain_resolved': the change read lower in at least 9 in 10 of the pairs "
+                   f"run, ties counting for neither, and its median is below the parent's by "
+                   f"more than the parent's q3 - q1; 'within_bound': the change's median is "
+                   f"at most the parent's times 1 + the metric's bound in BENCHMARK.json. "
+                   f"'traced' "
                    f"holds one --trace 1 run per side and workload at seed {TRACE_SEED}, "
                    f"{TRACE_SECONDS:g} s. 'scale' holds one run per side of "
                    f"perfbench/scale.py --n 100, after the other runs. 'source_lines' "
